@@ -1,5 +1,5 @@
 /// Server front-end load benchmark (DESIGN.md §5i): open-loop latency of the
-/// epoll I/O layer vs the thread-per-connection baseline.
+/// epoll I/O layer.
 ///
 /// Open loop means arrivals are scheduled by a Poisson process independent of
 /// response times, and every latency is measured from the SCHEDULED arrival,
@@ -8,12 +8,10 @@
 /// (the coordinated-omission trap of closed-loop harnesses).
 ///
 /// Sweeps: connection count (64 -> 4096) at constant offered load, simple vs
-/// extended (prepared) protocol, pure reads vs the TPC-C-style HTAP mix, and
-/// both I/O models at the 64-client comparison point (thread-per-connection
-/// cannot host the larger sweeps — one OS thread per idle connection).
+/// extended (prepared) protocol, and pure reads vs the TPC-C-style HTAP mix.
 ///
 /// Emits BENCH_server.json:
-///   { "configs": [ {io_model, clients, workload, sent, completed, errors,
+///   { "configs": [ {clients, workload, sent, completed, errors,
 ///                   achieved_qps, p50_ms, p90_ms, p99_ms, p999_ms, max_ms},
 ///                  ... ] }
 ///
@@ -63,12 +61,7 @@ const char* WorkloadName(Workload workload) {
   }
 }
 
-const char* IoModelName(ServerIoModel model) {
-  return model == ServerIoModel::kEpoll ? "epoll" : "thread_per_conn";
-}
-
 struct BenchConfig {
-  ServerIoModel io_model;
   size_t clients;
   Workload workload;
 };
@@ -206,7 +199,6 @@ BenchResult RunConfig(const BenchConfig& config, double rate_qps, double duratio
   // mid-run and smears the tail percentiles this harness exists to measure.
   // Off here — BENCH_jit.json quantifies specialization on its own.
   server_config.jit = false;
-  server_config.io_model = config.io_model;
   server_config.max_connections = config.clients + 16;
   server_config.backlog = 1024;
   server_config.admission_capacity = 1024;  // Never the bottleneck at these rates.
@@ -276,30 +268,26 @@ int Main(int argc, char** argv) {
   }
 
   const auto all_configs = std::vector<BenchConfig>{
-      // The head-to-head: both I/O models, both protocols, 64 clients.
-      {ServerIoModel::kThreadPerConnection, 64, Workload::kSimpleRead},
-      {ServerIoModel::kThreadPerConnection, 64, Workload::kPreparedRead},
-      {ServerIoModel::kEpoll, 64, Workload::kSimpleRead},
-      {ServerIoModel::kEpoll, 64, Workload::kPreparedRead},
-      // Connection scaling at constant offered load: epoll only.
-      {ServerIoModel::kEpoll, 256, Workload::kPreparedRead},
-      {ServerIoModel::kEpoll, 1024, Workload::kPreparedRead},
-      {ServerIoModel::kEpoll, 4096, Workload::kPreparedRead},
-      // The HTAP mix at the comparison point.
-      {ServerIoModel::kEpoll, 64, Workload::kHtap},
-      {ServerIoModel::kThreadPerConnection, 64, Workload::kHtap},
+      // Both protocols at 64 clients.
+      {64, Workload::kSimpleRead},
+      {64, Workload::kPreparedRead},
+      // Connection scaling at constant offered load.
+      {256, Workload::kPreparedRead},
+      {1024, Workload::kPreparedRead},
+      {4096, Workload::kPreparedRead},
+      // The HTAP mix at 64 clients.
+      {64, Workload::kHtap},
   };
 
   auto json = std::string{"{\n  \"duration_s\": " + std::to_string(duration_s) +
                           ",\n  \"offered_qps\": " + std::to_string(rate_qps) + ",\n  \"configs\": [\n"};
   auto first_entry = true;
 
-  std::cout << "io_model         clients  workload        conns   sent  completed  errors  achieved_qps  "
+  std::cout << "clients  workload        conns   sent  completed  errors  achieved_qps  "
                "p50_ms  p90_ms  p99_ms  p999_ms  max_ms\n";
   for (const auto& config : all_configs) {
     if (config.clients > max_clients) {
-      std::cerr << "skipping " << IoModelName(config.io_model) << "/" << config.clients
-                << " clients (over max_clients=" << max_clients << ")\n";
+      std::cerr << "skipping " << config.clients << " clients (over max_clients=" << max_clients << ")\n";
       continue;
     }
     auto result = RunConfig(config, rate_qps, duration_s);
@@ -310,9 +298,8 @@ int Main(int argc, char** argv) {
       }
     }
     char line[240];
-    std::snprintf(line, sizeof(line),
-                  "%-16s %7zu  %-14s %6zu %6llu %10llu %7llu %13.0f %7.2f %7.2f %7.2f %8.2f %7.1f",
-                  IoModelName(config.io_model), config.clients, WorkloadName(config.workload), result.connected,
+    std::snprintf(line, sizeof(line), "%7zu  %-14s %6zu %6llu %10llu %7llu %13.0f %7.2f %7.2f %7.2f %8.2f %7.1f",
+                  config.clients, WorkloadName(config.workload), result.connected,
                   static_cast<unsigned long long>(result.sent), static_cast<unsigned long long>(result.completed),
                   static_cast<unsigned long long>(result.errors), result.achieved_qps, result.p50_ms, result.p90_ms,
                   result.p99_ms, result.p999_ms, result.max_ms);
@@ -320,8 +307,7 @@ int Main(int argc, char** argv) {
 
     json += first_entry ? "    " : ",\n    ";
     first_entry = false;
-    json += std::string{"{\"io_model\": \""} + IoModelName(config.io_model) +
-            "\", \"clients\": " + std::to_string(config.clients) + ", \"workload\": \"" +
+    json += std::string{"{\"clients\": "} + std::to_string(config.clients) + ", \"workload\": \"" +
             WorkloadName(config.workload) + "\", \"connected\": " + std::to_string(result.connected) +
             ", \"sent\": " + std::to_string(result.sent) + ", \"completed\": " + std::to_string(result.completed) +
             ", \"errors\": " + std::to_string(result.errors) +

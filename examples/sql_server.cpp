@@ -15,7 +15,6 @@
 /// COMMIT waits for the group-commit fsync.
 ///
 /// Front-end tuning (DESIGN.md §5i) via environment variables:
-///   HYRISE_IO_MODEL=epoll|threaded   I/O layer (default epoll)
 ///   HYRISE_IO_THREADS=N              epoll I/O threads (default 2)
 ///   HYRISE_EXECUTOR_WORKERS=N        scheduler workers (default: hardware)
 ///   HYRISE_MAX_CONNECTIONS=N         connection cap (default 64)
@@ -82,17 +81,6 @@ int main(int argc, char** argv) {
   const auto* log_env = std::getenv("HYRISE_LOG_STATEMENTS");
   config.log_statements = log_env && *log_env && *log_env != '0';
 
-  if (const auto* io_model_env = std::getenv("HYRISE_IO_MODEL"); io_model_env && *io_model_env) {
-    const auto model = std::string{io_model_env};
-    if (model == "epoll") {
-      config.io_model = ServerIoModel::kEpoll;
-    } else if (model == "threaded") {
-      config.io_model = ServerIoModel::kThreadPerConnection;
-    } else {
-      std::cerr << "Unknown HYRISE_IO_MODEL '" << model << "' (expected epoll|threaded)\n";
-      return 1;
-    }
-  }
   const auto env_number = [](const char* name, uint64_t fallback) {
     const auto* value = std::getenv(name);
     return value && *value ? std::strtoull(value, nullptr, 10) : fallback;

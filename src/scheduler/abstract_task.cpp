@@ -10,15 +10,12 @@ namespace hyrise {
 void AbstractTask::SetAsPredecessorOf(const std::shared_ptr<AbstractTask>& successor) {
   Assert(!IsDone(), "Cannot add successors to a finished task");
   successors_.push_back(successor);
-  successor->pending_predecessors_.fetch_add(1, std::memory_order_acq_rel);
+  successor->pending_dependencies_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void AbstractTask::Schedule(NodeID node_id) {
   preferred_node_id = node_id;
-  scheduled_.store(true, std::memory_order_release);
-  if (IsReady()) {
-    Hyrise::Get().scheduler()->ScheduleTask(shared_from_this());
-  }
+  ReleaseDependency();
 }
 
 void AbstractTask::Join() {
@@ -31,7 +28,8 @@ void AbstractTask::Join() {
 void AbstractTask::Execute() {
   const auto already_started = started_.exchange(true, std::memory_order_acq_rel);
   Assert(!already_started, "Task executed twice");
-  DebugAssert(IsReady(), "Task executed before its predecessors finished");
+  DebugAssert(pending_dependencies_.load(std::memory_order_acquire) == 0,
+              "Task executed before its predecessors finished");
 
   // Skip the body if a predecessor failed — its output does not exist, and
   // unwinding into a pool worker would terminate the process. The task still
@@ -56,7 +54,7 @@ void AbstractTask::Execute() {
     if (propagate_failure) {
       successor->MarkUpstreamFailed();
     }
-    successor->NotifyPredecessorDone();
+    successor->ReleaseDependency();
   }
 }
 
@@ -68,9 +66,10 @@ void AbstractTask::RethrowTaskFailure(const std::vector<std::shared_ptr<Abstract
   }
 }
 
-void AbstractTask::NotifyPredecessorDone() {
-  const auto remaining = pending_predecessors_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (remaining == 0 && scheduled_.load(std::memory_order_acquire)) {
+void AbstractTask::ReleaseDependency() {
+  const auto previous = pending_dependencies_.fetch_sub(1, std::memory_order_acq_rel);
+  Assert(previous != 0, "Task scheduled twice");
+  if (previous == 1) {
     Hyrise::Get().scheduler()->ScheduleTask(shared_from_this());
   }
 }

@@ -32,11 +32,8 @@ class AbstractTask : public std::enable_shared_from_this<AbstractTask> {
   virtual ~AbstractTask() = default;
 
   /// Declares that `successor` must not start before this task finished.
+  /// Call before scheduling `successor`.
   void SetAsPredecessorOf(const std::shared_ptr<AbstractTask>& successor);
-
-  bool IsReady() const {
-    return pending_predecessors_.load(std::memory_order_acquire) == 0;
-  }
 
   bool IsDone() const {
     return done_.load(std::memory_order_acquire);
@@ -60,7 +57,8 @@ class AbstractTask : public std::enable_shared_from_this<AbstractTask> {
   static void RethrowTaskFailure(const std::vector<std::shared_ptr<AbstractTask>>& tasks);
 
   /// Hands the task to the current scheduler (it runs once all predecessors
-  /// finished). `preferred_node_id` hints data locality on NUMA systems.
+  /// finished). Call at most once per task. `preferred_node_id` hints data
+  /// locality on NUMA systems.
   void Schedule(NodeID preferred_node_id = kCurrentNodeId);
 
   /// Blocks until the task finished executing.
@@ -76,15 +74,19 @@ class AbstractTask : public std::enable_shared_from_this<AbstractTask> {
   virtual void OnExecute() = 0;
 
  private:
-  void NotifyPredecessorDone();
+  /// Counts down one pending dependency; the decrement that reaches zero
+  /// enqueues the task.
+  void ReleaseDependency();
 
   void MarkUpstreamFailed() {
     upstream_failed_.store(true, std::memory_order_release);
   }
 
   std::vector<std::shared_ptr<AbstractTask>> successors_;
-  std::atomic<uint32_t> pending_predecessors_{0};
-  std::atomic<bool> scheduled_{false};
+  /// Unfinished predecessors plus one for the outstanding Schedule() call.
+  /// Schedule() and each finishing predecessor decrement it, so exactly one
+  /// atomic step — whichever comes last — sees zero and enqueues the task.
+  std::atomic<uint32_t> pending_dependencies_{1};
   std::atomic<bool> started_{false};
   std::atomic<bool> done_{false};
   std::atomic<bool> upstream_failed_{false};

@@ -47,10 +47,9 @@ constexpr size_t kMaxPendingFrames = 128;
 /// triggers for peers that stop reading their final response.
 constexpr auto kDrainGrace = std::chrono::seconds{5};
 
-/// Writes the whole buffer, retrying on EINTR and short writes (blocking
-/// sockets — thread-per-connection mode and best-effort teardown messages).
-/// Returns false on a real socket error (peer gone); callers treat that as
-/// end-of-session, never as a fatal process error.
+/// Writes the whole buffer, retrying on EINTR and short writes; used for
+/// best-effort teardown messages. Returns false if the peer is gone or the
+/// non-blocking socket's buffer is full; a failed write never aborts.
 bool SendAll(int fd, const std::string& data) {
   try {
     FAILPOINT("server/write");
@@ -86,17 +85,6 @@ void WakeEventFd(int fd) {
 
 Server::~Server() {
   Stop();
-}
-
-SessionConfig Server::MakeSessionConfig(bool reject_over_capacity, uint64_t session_id) const {
-  auto session_config = SessionConfig{};
-  session_config.statement_timeout = config_.statement_timeout;
-  session_config.max_conflict_retries = config_.max_conflict_retries;
-  session_config.log_statements = config_.log_statements;
-  session_config.per_query_memory_budget = config_.per_query_memory_budget;
-  session_config.reject_over_capacity = reject_over_capacity;
-  session_config.session_id = session_id;
-  return session_config;
 }
 
 Result<uint16_t> Server::Bootstrap() {
@@ -214,17 +202,10 @@ Result<uint16_t> Server::Start() {
   stopping_.store(false);
   running_.store(true);
 
-  if (config_.io_model == ServerIoModel::kThreadPerConnection) {
-    accept_thread_ = std::thread([this] {
-      AcceptLoop();
-    });
-    return port_;
-  }
-
-  // Epoll mode executes statements as scheduler jobs; an immediate-execution
-  // scheduler would run them inline on the I/O threads and serialize the
-  // server, so install a worker pool if none is present. A scheduler the
-  // embedder already installed (with workers) is used as-is.
+  // Statements run as scheduler jobs; an immediate-execution scheduler would
+  // run them inline on the I/O threads and serialize the server, so install a
+  // worker pool if none is present. A scheduler the embedder already
+  // installed (with workers) is used as-is.
   if (Hyrise::Get().scheduler()->worker_count() == 0) {
     auto workers = config_.executor_workers;
     if (workers == 0) {
@@ -288,44 +269,9 @@ void Server::Stop() {
   // run to completion against a shutting-down server.
   draining_.store(true, std::memory_order_release);
 
-  if (config_.io_model == ServerIoModel::kThreadPerConnection) {
-    // 1. Stop accepting: unblocks accept(2) in the accept thread.
-    const auto fd = listen_fd_.exchange(-1);
-    shutdown(fd, SHUT_RDWR);
-    close(fd);
-    if (accept_thread_.joinable()) {
-      accept_thread_.join();
-    }
-    // 2. Drain sessions: cancel whatever statement is running (it will finish
-    //    at its next chunk boundary and the session still sends the final
-    //    ErrorResponse), and shut down the read side so idle sessions blocked
-    //    in recv(2) wake up. The write side stays open for the flush.
-    {
-      const auto lock = std::lock_guard{threaded_mutex_};
-      for (const auto& connection : threaded_connections_) {
-        connection->session->CancelActiveStatement(CancellationReason::kShutdown);
-        if (!connection->finished.load()) {
-          shutdown(connection->fd, SHUT_RD);
-        }
-      }
-    }
-    // 3. Join outside the lock — session threads take threaded_mutex_ on exit.
-    auto connections = std::vector<std::shared_ptr<ThreadedConnection>>{};
-    {
-      const auto lock = std::lock_guard{threaded_mutex_};
-      connections.swap(threaded_connections_);
-    }
-    for (const auto& connection : connections) {
-      if (connection->thread.joinable()) {
-        connection->thread.join();
-      }
-    }
-    return;
-  }
-
-  // Epoll mode. Cancel every running statement, then tell the I/O threads to
-  // drain: they stop reading, close the listener, flush remaining output,
-  // close connections as they quiesce, and exit once none remain.
+  // Cancel every running statement, then tell the I/O threads to drain: they
+  // stop reading, close the listener, flush remaining output, close
+  // connections as they quiesce, and exit once none remain.
   for (const auto& io : io_threads_) {
     auto connections = std::vector<std::shared_ptr<Connection>>{};
     {
@@ -374,8 +320,6 @@ void Server::Stop() {
 size_t Server::active_connection_count() const {
   return static_cast<size_t>(stats_.active_connections.load(std::memory_order_relaxed));
 }
-
-// --- Epoll front-end ----------------------------------------------------------
 
 std::shared_ptr<Server::Connection> Server::FindConnection(IoThread& io, uint64_t id) {
   const auto lock = std::lock_guard{io.mutex};
@@ -475,15 +419,20 @@ void Server::AcceptReady() {
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     const auto active_before = stats_.active_connections.fetch_add(1, std::memory_order_relaxed);
-    const auto reject = active_before >= config_.max_connections;
 
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     connection->id = next_connection_id_.fetch_add(1, std::memory_order_relaxed);
     connection->io_index = next_io_index_.fetch_add(1, std::memory_order_relaxed) % io_threads_.size();
     connection->last_activity = std::chrono::steady_clock::now();
-    connection->session =
-        std::make_unique<Session>(MakeSessionConfig(reject, connection->id), &stats_, admission_.get(), &draining_);
+    auto session_config = SessionConfig{};
+    session_config.statement_timeout = config_.statement_timeout;
+    session_config.max_conflict_retries = config_.max_conflict_retries;
+    session_config.log_statements = config_.log_statements;
+    session_config.per_query_memory_budget = config_.per_query_memory_budget;
+    session_config.reject_over_capacity = active_before >= config_.max_connections;
+    session_config.session_id = connection->id;
+    connection->session = std::make_unique<Session>(session_config, &stats_, admission_.get(), &draining_);
     connection->session->set_on_work_done([this, io_index = connection->io_index, id = connection->id] {
       OnJobDone(io_index, id);
     });
@@ -757,101 +706,6 @@ void Server::Teardown(IoThread& io, const std::shared_ptr<Connection>& connectio
   // The Session (open-transaction rollback, admission-slot release for
   // undrained frames) is destroyed with the last shared_ptr — immediately
   // here, or at the end of a still-running executor job.
-}
-
-// --- Thread-per-connection front-end ------------------------------------------
-
-void Server::AcceptLoop() {
-  while (running_.load()) {
-    const auto connection_fd = accept(listen_fd_.load(), nullptr, nullptr);
-    if (connection_fd < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      break;  // Socket closed by Stop().
-    }
-    const auto no_delay = int{1};
-    setsockopt(connection_fd, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
-    stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    const auto active_before = stats_.active_connections.fetch_add(1, std::memory_order_relaxed);
-    const auto reject = active_before >= config_.max_connections;
-
-    auto connection = std::make_shared<ThreadedConnection>();
-    connection->fd = connection_fd;
-    connection->session = std::make_shared<Session>(
-        MakeSessionConfig(reject, next_connection_id_.fetch_add(1, std::memory_order_relaxed)), &stats_,
-        admission_.get(), &draining_);
-    {
-      const auto lock = std::lock_guard{threaded_mutex_};
-      // Reap finished sessions so a long-running server does not accumulate
-      // dead threads.
-      for (auto iterator = threaded_connections_.begin(); iterator != threaded_connections_.end();) {
-        if ((*iterator)->finished.load() && (*iterator)->thread.joinable()) {
-          (*iterator)->thread.join();
-          iterator = threaded_connections_.erase(iterator);
-        } else {
-          ++iterator;
-        }
-      }
-      threaded_connections_.push_back(connection);
-    }
-    connection->thread = std::thread([this, connection] {
-      HandleThreadedConnection(connection);
-    });
-  }
-}
-
-void Server::HandleThreadedConnection(const std::shared_ptr<ThreadedConnection>& connection) {
-  const auto connection_fd = connection->fd;
-  const auto& session = connection->session;
-
-  // Idle timeout via receive timeout: recv wakes with EAGAIN when the
-  // connection has been quiet for too long.
-  if (config_.idle_timeout.count() > 0) {
-    auto timeout = timeval{};
-    timeout.tv_sec = static_cast<time_t>(config_.idle_timeout.count() / 1000);
-    timeout.tv_usec = static_cast<suseconds_t>((config_.idle_timeout.count() % 1000) * 1000);
-    setsockopt(connection_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  }
-
-  auto output = std::string{};
-  const auto flush = [&] {
-    output.clear();
-    session->TakeOutput(output);
-    return output.empty() || SendAll(connection_fd, output);
-  };
-
-  auto buffer = std::array<char, 16384>{};
-  while (running_.load()) {
-    const auto received = recv(connection_fd, buffer.data(), buffer.size(), 0);
-    if (received < 0 && errno == EINTR) {
-      continue;
-    }
-    if (received < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      stats_.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
-      SendAll(connection_fd, wire::ErrorResponse("terminating connection due to idle timeout", "57P05"));
-      break;
-    }
-    if (received <= 0) {
-      break;  // Peer gone (or Stop()'s SHUT_RD).
-    }
-    session->Ingest(buffer.data(), static_cast<size_t>(received));
-    // Inline execution: in this model the connection thread is the executor.
-    while (session->TryBeginJob()) {
-      session->RunJob();
-    }
-    if (!flush()) {
-      break;
-    }
-    if (session->close_requested() && session->pending_frame_count() == 0) {
-      break;
-    }
-  }
-
-  session->OnDisconnect();
-  close(connection_fd);
-  stats_.active_connections.fetch_sub(1, std::memory_order_relaxed);
-  connection->finished.store(true);
 }
 
 }  // namespace hyrise

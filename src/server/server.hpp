@@ -20,18 +20,6 @@
 
 namespace hyrise {
 
-/// Connection-handling architecture (DESIGN.md §5i).
-enum class ServerIoModel {
-  /// A small fixed pool of I/O threads drives all sockets through epoll:
-  /// non-blocking reads feed per-connection state machines, query execution
-  /// runs as scheduler jobs, responses flush with EPOLLOUT backpressure.
-  /// Thousands of mostly-idle connections cost file descriptors, not threads.
-  kEpoll,
-  /// One blocking thread per connection (the pre-epoll architecture, kept as
-  /// the measurable baseline for bench/server_load.cpp).
-  kThreadPerConnection,
-};
-
 /// Tunables for the wire-protocol server. Defaults match a test-friendly
 /// local deployment; production embedders override per field.
 struct ServerConfig {
@@ -44,15 +32,13 @@ struct ServerConfig {
   /// connections") and are closed — backpressure instead of resource
   /// exhaustion.
   size_t max_connections{64};
-  /// Connection-handling architecture; kEpoll is the default.
-  ServerIoModel io_model{ServerIoModel::kEpoll};
-  /// Size of the epoll I/O thread pool (kEpoll only). These threads do no
-  /// query work — just framing and socket I/O — so a handful suffices for
-  /// thousands of connections.
+  /// Size of the epoll I/O thread pool. These threads do no query work — just
+  /// framing and socket I/O — so a handful suffices for thousands of
+  /// connections.
   size_t io_threads{2};
   /// Workers for the executor pool that Start() installs when the current
-  /// scheduler has none (kEpoll only; 0 = one per hardware thread). An
-  /// already-installed worker-backed scheduler is used as-is.
+  /// scheduler has none (0 = one per hardware thread). An already-installed
+  /// worker-backed scheduler is used as-is.
   uint32_t executor_workers{0};
   /// Statement-level admission control: maximum statements queued + running
   /// across all connections. Statements beyond it are rejected with SQLSTATE
@@ -63,11 +49,10 @@ struct ServerConfig {
   uint64_t per_query_memory_budget{0};
   /// Connections idle (no in-flight work) longer than this are closed with
   /// SQLSTATE 57P05; 0 disables. Enforcement granularity is the I/O sweep
-  /// interval (epoll) / SO_RCVTIMEO (thread-per-connection).
+  /// interval.
   std::chrono::milliseconds idle_timeout{0};
-  /// Slow-reader protection (kEpoll only): a connection whose unflushed
-  /// output exceeds this bound is dropped instead of buffering unboundedly.
-  /// 0 = unlimited.
+  /// Slow-reader protection: a connection whose unflushed output exceeds this
+  /// bound is dropped instead of buffering unboundedly. 0 = unlimited.
   size_t max_output_buffer{64u << 20};
   /// Per-statement cooperative timeout; 0 disables. Statements poll the
   /// deadline at chunk boundaries, so enforcement lags by at most one chunk.
@@ -121,7 +106,13 @@ struct ServerConfig {
 /// not implemented to keep the server lean). Simple queries and the extended
 /// protocol (Parse/Bind/Describe/Execute — wire-level prepared statements
 /// binding into the SqlPipeline placeholder machinery) are supported; see
-/// Session for the per-connection state machine shared by both I/O models.
+/// Session for the per-connection state machine.
+///
+/// Connection handling (DESIGN.md §5i): a small fixed pool of I/O threads
+/// drives all sockets through epoll. Non-blocking reads feed the sessions,
+/// statements run as scheduler jobs, and responses flush with EPOLLOUT
+/// backpressure. Thousands of mostly-idle connections cost file descriptors,
+/// not threads.
 ///
 /// Fault containment: socket errors are returned (never Assert-aborted), a
 /// failing statement yields an ErrorResponse followed by ReadyForQuery on
@@ -146,8 +137,7 @@ class Server {
   }
 
   /// Creates, binds (SO_REUSEADDR), and listens on the socket, then starts
-  /// the configured front-end (epoll I/O threads or one thread per
-  /// connection). Bind/listen failures — e.g. the port is taken — are
+  /// the epoll I/O threads. Bind/listen failures — e.g. the port is taken — are
   /// returned as errors so callers can retry on another port instead of
   /// aborting the process.
   Result<uint16_t> Start();
@@ -155,7 +145,7 @@ class Server {
   /// Graceful drain: marks the server draining (statements arriving from now
   /// on are born cancelled), cooperatively cancels running statements (reason
   /// kShutdown), stops accepting, lets sessions flush their final responses,
-  /// and joins all I/O / session threads.
+  /// and joins the I/O threads.
   void Stop();
 
   /// Sessions currently being served (for tests and monitoring).
@@ -167,10 +157,10 @@ class Server {
   }
 
  private:
-  /// Epoll-mode per-connection state, owned by one I/O thread. Executor jobs
-  /// hold a shared_ptr, so teardown can close the socket while a statement is
-  /// still finishing; the Session (and its transaction rollback) dies with
-  /// the last reference.
+  /// Per-connection state, owned by one I/O thread. Executor jobs hold a
+  /// shared_ptr, so teardown can close the socket while a statement is still
+  /// finishing; the Session (and its transaction rollback) dies with the last
+  /// reference.
   struct Connection {
     int fd{-1};
     uint64_t id{0};
@@ -201,21 +191,9 @@ class Server {
     std::vector<uint64_t> completions;
   };
 
-  /// Thread-per-connection-mode state (baseline I/O model).
-  struct ThreadedConnection {
-    int fd{-1};
-    std::thread thread;
-    std::shared_ptr<Session> session;
-    std::atomic<bool> finished{false};
-  };
-
-  /// Snapshot restore, WAL replay/enable, JIT configuration, socket setup —
-  /// shared by both I/O models.
+  /// Snapshot restore, WAL replay/enable, JIT configuration, socket setup.
   Result<uint16_t> Bootstrap();
 
-  SessionConfig MakeSessionConfig(bool reject_over_capacity, uint64_t session_id) const;
-
-  // --- Epoll front-end --------------------------------------------------------
   void IoLoop(size_t io_index);
   void AcceptReady();
   std::shared_ptr<Connection> FindConnection(IoThread& io, uint64_t id);
@@ -229,12 +207,9 @@ class Server {
   void UpdateEpollInterest(IoThread& io, const std::shared_ptr<Connection>& connection);
   void Teardown(IoThread& io, const std::shared_ptr<Connection>& connection);
 
-  // --- Thread-per-connection front-end ----------------------------------------
-  void AcceptLoop();
-  void HandleThreadedConnection(const std::shared_ptr<ThreadedConnection>& connection);
-
   ServerConfig config_;
-  /// Atomic: the accept path reads it concurrently with Stop()'s close/reset.
+  /// Atomic: I/O thread 0 accepts on it and closes it when the drain starts;
+  /// Start() and Stop() set and reset it.
   std::atomic<int> listen_fd_{-1};
   uint16_t port_{0};
   std::atomic<bool> running_{false};
@@ -249,7 +224,6 @@ class Server {
   ServerStats stats_;
   std::unique_ptr<AdmissionController> admission_;
 
-  // Epoll mode.
   std::vector<std::unique_ptr<IoThread>> io_threads_;
   std::atomic<uint64_t> next_connection_id_{2};  // 0 = eventfd tag, 1 = listen tag.
   std::atomic<uint64_t> next_io_index_{0};
@@ -261,11 +235,6 @@ class Server {
   /// Whether Start() installed the executor scheduler (and Stop() must
   /// restore the immediate one).
   bool installed_scheduler_{false};
-
-  // Thread-per-connection mode.
-  std::thread accept_thread_;
-  mutable std::mutex threaded_mutex_;
-  std::vector<std::shared_ptr<ThreadedConnection>> threaded_connections_;
 };
 
 }  // namespace hyrise

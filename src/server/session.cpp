@@ -179,7 +179,21 @@ Session::Session(SessionConfig config, ServerStats* stats, AdmissionController* 
     : config_(config), stats_(stats), admission_(admission), draining_(draining) {}
 
 Session::~Session() {
-  OnDisconnect();
+  {
+    const auto lock = std::lock_guard{mutex_};
+    for (const auto& frame : pending_) {
+      if (frame.holds_slot) {
+        admission_->Release();
+      }
+    }
+  }
+  // A dropped connection must not leak its transaction: release all row locks
+  // and undo partial effects. No job is active — a running executor job keeps
+  // its connection, and with it this session, alive until the job returns —
+  // so the executor-side field is safe to touch.
+  if (transaction_ && transaction_->IsActive()) {
+    transaction_->Rollback();
+  }
 }
 
 // --- I/O-thread side ----------------------------------------------------------
@@ -326,30 +340,6 @@ void Session::AppendOutput(const std::string& bytes) {
   stats_->bytes_sent.fetch_add(bytes.size(), std::memory_order_relaxed);
   const auto lock = std::lock_guard{mutex_};
   output_ += bytes;
-}
-
-void Session::AbandonPendingLocked() {
-  for (auto& frame : pending_) {
-    if (frame.holds_slot) {
-      admission_->Release();
-      frame.holds_slot = false;
-    }
-  }
-  pending_.clear();
-}
-
-void Session::OnDisconnect() {
-  {
-    const auto lock = std::lock_guard{mutex_};
-    AbandonPendingLocked();
-  }
-  // A dropped connection must not leak its transaction: release all row locks
-  // and undo partial effects. The caller guarantees no job is active, so the
-  // executor-side field is safe to touch.
-  if (transaction_ && transaction_->IsActive()) {
-    transaction_->Rollback();
-  }
-  transaction_ = nullptr;
 }
 
 void Session::CancelActiveStatement(CancellationReason reason) {

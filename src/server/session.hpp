@@ -35,10 +35,9 @@ struct SessionConfig {
   uint64_t session_id{0};
 };
 
-/// Per-connection wire-protocol state machine, shared by the epoll front-end
-/// (frames decoded on I/O threads, executed in scheduler jobs) and the
-/// thread-per-connection baseline (everything inline on the connection
-/// thread). The split keeps every socket syscall out of this class:
+/// Per-connection wire-protocol state machine: frames are decoded on the
+/// server's epoll I/O threads and executed in scheduler jobs. The split keeps
+/// every socket syscall out of this class:
 ///
 ///   I/O side  — Ingest() consumes raw bytes, handles the startup phase, and
 ///               splits complete frames into a pending queue. Statement
@@ -58,6 +57,9 @@ class Session {
  public:
   Session(SessionConfig config, ServerStats* stats, AdmissionController* admission,
           const std::atomic<bool>* draining);
+  /// Teardown (only with no job active): releases admission slots of
+  /// undrained frames and rolls back an open transaction — a dropped
+  /// connection must not leak row locks.
   ~Session();
 
   Session(const Session&) = delete;
@@ -81,7 +83,7 @@ class Session {
   size_t pending_frame_count() const;
 
   /// Claims the single executor job if there is pending work and no job is
-  /// active. The caller schedules RunJob() (scheduler job or inline call).
+  /// active. The caller schedules RunJob() as a scheduler job.
   bool TryBeginJob();
 
   bool job_active() const;
@@ -96,11 +98,6 @@ class Session {
   void TakeOutput(std::string& sink);
 
   size_t output_size() const;
-
-  /// Teardown from the owning front-end (only with no job active): releases
-  /// admission slots of undrained frames and rolls back an open transaction —
-  /// a dropped connection must not leak row locks.
-  void OnDisconnect();
 
   /// Cooperative shutdown/teardown: cancels whatever statement is running on
   /// this session (it finishes at its next chunk boundary and still sends its
@@ -150,7 +147,6 @@ class Session {
   // Decode helpers (I/O thread).
   bool ProcessStartupBuffer();
   void FailProtocol(const std::string& message);
-  void AbandonPendingLocked();
 
   // Frame handlers (executor thread).
   void ProcessFrame(Frame& frame);

@@ -17,8 +17,11 @@ namespace hyrise {
 
 namespace {
 
+/// One directory per test case: SetUp/TearDown wipe it, so a shared path would
+/// let one case delete another's files when ctest runs them in parallel.
 std::string ChaosDirectory() {
-  return ::testing::TempDir() + "/persistence_chaos";
+  return ::testing::TempDir() + "/persistence_chaos_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name();
 }
 
 int64_t AuditSum() {

@@ -86,6 +86,47 @@ TEST_F(SchedulerTest, NodeQueueSchedulerHonorsDependencyChains) {
   EXPECT_EQ(value.load(), 49 * 50 / 2);
 }
 
+TEST_F(SchedulerTest, SuccessorScheduledWhilePredecessorFinishesRunsExactlyOnce) {
+  // Regression test: Schedule() on a successor races with its last
+  // predecessor finishing on a worker. Exactly one of the two must enqueue the
+  // successor — both doing so aborts with "Task executed twice", neither doing
+  // so leaves it unscheduled forever. The predecessor spins until released;
+  // a busy-wait that varies per iteration slides the successor's Schedule()
+  // across the predecessor's completion.
+  Hyrise::Get().SetScheduler(std::make_shared<NodeQueueScheduler>(1, 4));
+  constexpr auto kIterations = 1000;
+  auto successor_runs = std::atomic<int>{0};
+  for (auto iteration = 0; iteration < kIterations; ++iteration) {
+    auto started = std::atomic<bool>{false};
+    auto release = std::atomic<bool>{false};
+    auto predecessor = std::make_shared<JobTask>([&] {
+      started.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+      }
+    });
+    auto successor = std::make_shared<JobTask>([&] {
+      successor_runs.fetch_add(1, std::memory_order_relaxed);
+    });
+    predecessor->SetAsPredecessorOf(successor);
+    predecessor->Schedule();
+    while (!started.load(std::memory_order_acquire)) {
+    }
+    release.store(true, std::memory_order_release);
+    for (auto spin = 0; spin < iteration % 256; ++spin) {
+      started.load(std::memory_order_acquire);
+    }
+    successor->Schedule();
+
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{10};
+    while (!successor->IsDone() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(successor->IsDone()) << "successor never enqueued in iteration " << iteration;
+    predecessor->Join();
+  }
+  EXPECT_EQ(successor_runs.load(), kIterations);
+}
+
 TEST_F(SchedulerTest, WorkStealingDrainsOtherNodesQueues) {
   // All tasks prefer node 1; node 0's workers must steal to finish.
   const auto scheduler = std::make_shared<NodeQueueScheduler>(2, 1);

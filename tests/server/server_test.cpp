@@ -229,12 +229,9 @@ TEST_F(ServerTest, ShowServerStatsExposesCounters) {
 
 // --- Per-connection idle timeout ---------------------------------------------
 
-class ServerIdleTimeoutTest : public ::testing::TestWithParam<ServerIoModel> {};
-
-TEST_P(ServerIdleTimeoutTest, QuietConnectionsAreReapedWithNotice) {
+TEST(ServerIdleTimeoutTest, QuietConnectionsAreReapedWithNotice) {
   Hyrise::Reset();
   auto config = ServerConfig{};
-  config.io_model = GetParam();
   config.idle_timeout = std::chrono::milliseconds{200};
   auto server = Server{config};
   ASSERT_TRUE(server.Start().ok());
@@ -252,12 +249,6 @@ TEST_P(ServerIdleTimeoutTest, QuietConnectionsAreReapedWithNotice) {
   EXPECT_GE(server.stats().idle_timeouts.load(), uint64_t{1});
   server.Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothIoModels, ServerIdleTimeoutTest,
-                         ::testing::Values(ServerIoModel::kEpoll, ServerIoModel::kThreadPerConnection),
-                         [](const ::testing::TestParamInfo<ServerIoModel>& info) {
-                           return info.param == ServerIoModel::kEpoll ? "Epoll" : "ThreadPerConnection";
-                         });
 
 // --- Bounded output buffer (slow-reader protection) --------------------------
 
@@ -290,29 +281,6 @@ TEST(ServerSlowReaderTest, ResponseExceedingOutputBoundKillsOnlyThatConnection) 
   const auto rows = PgClient::DataRows(*fine);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], "8192");
-  server.Stop();
-}
-
-// --- Thread-per-connection baseline stays fully functional -------------------
-
-TEST(ServerThreadedModelTest, SimpleAndPreparedQueriesWork) {
-  Hyrise::Reset();
-  ExecuteSql("CREATE TABLE legacy (a INT NOT NULL)");
-  ExecuteSql("INSERT INTO legacy VALUES (1), (2), (3)");
-  auto config = ServerConfig{};
-  config.io_model = ServerIoModel::kThreadPerConnection;
-  auto server = Server{config};
-  ASSERT_TRUE(server.Start().ok());
-
-  auto client = PgClient{server.port()};
-  ASSERT_TRUE(client.Handshake());
-  const auto simple = client.Query("SELECT COUNT(*) FROM legacy");
-  ASSERT_TRUE(simple.has_value());
-  EXPECT_EQ(PgClient::DataRows(*simple)[0][0], "3");
-
-  const auto prepared = client.ExtendedQuery("SELECT a FROM legacy WHERE a > $1", {std::string{"1"}}, {23});
-  ASSERT_TRUE(prepared.has_value());
-  EXPECT_EQ(PgClient::DataRows(*prepared).size(), 2u);
   server.Stop();
 }
 
