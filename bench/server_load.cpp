@@ -194,11 +194,6 @@ BenchResult RunConfig(const BenchConfig& config, double rate_qps, double duratio
   Hyrise::Get().default_pqp_cache = std::make_shared<PqpCache>(1024);
 
   auto server_config = ServerConfig{};
-  // The adaptive specializer launches an external compiler for hot plans;
-  // on a small host that process timeshares the cores with the server
-  // mid-run and smears the tail percentiles this harness exists to measure.
-  // Off here — BENCH_jit.json quantifies specialization on its own.
-  server_config.jit = false;
   server_config.max_connections = config.clients + 16;
   server_config.backlog = 1024;
   server_config.admission_capacity = 1024;  // Never the bottleneck at these rates.

@@ -19,8 +19,9 @@ class TransactionContext;
 /// Evaluates expression trees over one chunk (or over no chunk at all, for
 /// literal/uncorrelated contexts). This is the interpreting fallback engine
 /// behind Projection and complex TableScans; specialized scan
-/// implementations bypass it (paper §2.3/§2.7 — the JIT's job is exactly to
-/// remove this interpreter's overhead, see bench/jit_specialization).
+/// implementations bypass it (paper §2.3). It is the only runtime path for
+/// expressions; bench/jit_specialization measures its overhead against the
+/// compile-time fused pipeline of operators/pipeline_fusion.hpp (§2.7).
 class ExpressionEvaluator {
  public:
   /// Literal context: column references are errors, subqueries allowed.

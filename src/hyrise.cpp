@@ -1,6 +1,5 @@
 #include "hyrise.hpp"
 
-#include "jit/jit_engine.hpp"
 #include "persistence/wal.hpp"
 #include "plugin/plugin_manager.hpp"
 #include "scheduler/abstract_scheduler.hpp"
@@ -30,9 +29,6 @@ void Hyrise::Reset() {
   if (instance) {
     instance->SetScheduler(std::make_shared<ImmediateExecutionScheduler>());
   }
-  // Drop compiled pipeline artifacts with the plan cache that referenced
-  // them; waits for in-flight compiles so tests tear down deterministically.
-  jit::JitEngine::Get().Clear();
   instance.reset(new Hyrise{});
 }
 

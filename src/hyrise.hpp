@@ -23,10 +23,6 @@ namespace persistence {
 class WalManager;
 }
 
-namespace jit {
-struct PlanHeat;
-}
-
 /// A plan-cache entry: the translated PQP plus the schema epochs of every
 /// table it references, recorded at insertion. The SQL text key says nothing
 /// about whether a referenced table has since been dropped, recreated, or
@@ -35,10 +31,6 @@ struct PlanHeat;
 struct CachedPlan {
   std::shared_ptr<AbstractOperator> pqp;
   std::vector<std::pair<std::string, uint64_t>> table_schema_epochs;
-  /// Execution heat shared by all copies of this entry (GdfsCache::TryGet
-  /// returns copies; the shared_ptr keeps the counters in one place). Drives
-  /// the JIT engine's compile trigger (src/jit/).
-  std::shared_ptr<jit::PlanHeat> jit;
 };
 
 using PqpCache = GdfsCache<std::string, CachedPlan>;

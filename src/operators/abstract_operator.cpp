@@ -136,20 +136,6 @@ void AbstractOperator::SetCancellationTokenRecursively(const CancellationToken& 
   }
 }
 
-void AbstractOperator::ReplaceInput(const std::shared_ptr<AbstractOperator>& current,
-                                    const std::shared_ptr<AbstractOperator>& replacement) {
-  Assert(!performance_data.executed, "ReplaceInput on an executed operator");
-  if (left_input_ == current) {
-    left_input_ = replacement;
-    return;
-  }
-  if (right_input_ == current) {
-    right_input_ = replacement;
-    return;
-  }
-  Fail("ReplaceInput: operator is not an input of " + Description());
-}
-
 void AbstractOperator::SetParameters(const std::unordered_map<ParameterID, AllTypeVariant>& parameters) {
   if (parameters.empty()) {
     return;

@@ -39,13 +39,11 @@ enum class OperatorType {
   kDropTable,
   kCreateView,
   kDropView,
-  kPipelineFusion,
   kExportTable,
   kImportTable,
   kSnapshot,
   kRestore,
   kCheckpoint,
-  kSpecializedPipeline,
 };
 
 /// Basic runtime metrics, attached to every executed operator. Benchmark
@@ -142,13 +140,6 @@ class AbstractOperator : public std::enable_shared_from_this<AbstractOperator> {
   /// Binds placeholder values (prepared statements, correlated subqueries)
   /// into this plan, recursively.
   void SetParameters(const std::unordered_map<ParameterID, AllTypeVariant>& parameters);
-
-  /// Swaps the input edge currently pointing at `current` to point at
-  /// `replacement` instead. Only valid on a not-yet-executed plan; the JIT
-  /// engine uses this to hot-swap a specialized pipeline over an Aggregate
-  /// subtree. Fails if `current` is not an input of this operator.
-  void ReplaceInput(const std::shared_ptr<AbstractOperator>& current,
-                    const std::shared_ptr<AbstractOperator>& replacement);
 
   /// Copies the not-yet-executed plan (for plan caching / repeated execution
   /// of prepared statements). Diamond-shaped PQPs stay diamonds.

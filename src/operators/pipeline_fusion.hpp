@@ -13,8 +13,8 @@
 
 namespace hyrise {
 
-/// Template-fused pipeline baseline for the specialization engine (paper
-/// §2.7; DESIGN.md §5h).
+/// Template-fused pipeline: this repository's reproduction of the paper's
+/// code specialization (§2.7; DESIGN.md §5h).
 ///
 /// The original system keeps generalized operator code in LLVM IR and, at
 /// runtime, inlines virtual calls, removes type switches, and fuses all
@@ -24,10 +24,10 @@ namespace hyrise {
 /// whole scan→filter→project→aggregate pipeline compiles into one loop with
 /// no virtual calls, no type switches, and no per-expression-node
 /// intermediate materializations. It requires the pipeline shape at build
-/// time; the runtime counterpart that works for arbitrary hot plans is
-/// src/jit/ (generate → compile → dlopen → hot-swap). The generic
-/// interpreting baseline is the ExpressionEvaluator (see
-/// bench/jit_specialization.cpp for the three-way comparison).
+/// time, so it serves as the upper bound of what fusion gains, not as a
+/// query execution path: SQL queries run on the regular operators, which
+/// evaluate complex expressions on the interpreting ExpressionEvaluator (see
+/// bench/jit_specialization.cpp for the comparison of the two).
 
 /// How one column of one chunk is accessed by the fused loop.
 enum class FusedSegmentAccess : uint8_t {
@@ -102,8 +102,8 @@ void FusedScanAggregate(const Table& table, const std::array<ColumnID, N>& colum
     }
 
     // Column access: zero-copy for non-nullable unencoded segments, one
-    // decode per chunk otherwise (mirrors the JIT operating on the storage
-    // layer directly). The access kind comes from the pre-probed layout.
+    // decode per chunk otherwise (the fused loop reads the storage layer
+    // directly). The access kind comes from the pre-probed layout.
     std::array<const T*, N> column_data{};
     std::array<std::vector<T>, N> decoded;
     for (auto index = size_t{0}; index < N; ++index) {

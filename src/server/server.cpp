@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "hyrise.hpp"
-#include "jit/jit_engine.hpp"
 #include "persistence/snapshot_manager.hpp"
 #include "scheduler/abstract_scheduler.hpp"
 #include "scheduler/abstract_task.hpp"
@@ -146,18 +145,6 @@ Result<uint16_t> Server::Bootstrap() {
         return Result<uint16_t>::Error("Cannot enable write-ahead logging: " + enabled.error());
       }
     }
-  }
-
-  // Adaptive specialization (DESIGN.md §5h): configure the engine from this
-  // server's tunables. Configure itself forces the engine off when the build
-  // or the host cannot compile (ENABLE_JIT=OFF, no dlopen/posix_spawn).
-  {
-    auto jit_config = jit::JitConfig{};
-    jit_config.enabled = config_.jit;
-    jit_config.heat_threshold = config_.jit_heat_threshold;
-    jit_config.compiler_path = config_.jit_compiler_path;
-    jit_config.scratch_directory = config_.jit_scratch_directory;
-    jit::JitEngine::Get().Configure(jit_config);
   }
 
   const auto fd = socket(AF_INET, SOCK_STREAM, 0);

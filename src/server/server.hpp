@@ -80,24 +80,10 @@ struct ServerConfig {
   uint32_t group_commit_window_us{100};
   /// Per-statement log line on stderr: status, execution time, plan-cache
   /// hit, result-cache reuse counters (probes/hits/bytes saved), WAL
-  /// durability wait, JIT specialization outcome, and the connection/admission
-  /// gauges of the whole server.
+  /// durability wait, and the connection/admission gauges of the whole server.
   bool log_statements{false};
-  /// Adaptive query specialization (DESIGN.md §5h): when true, Start()
-  /// enables the JIT engine — hot cached plans are compiled into fused
-  /// native pipelines in the background and hot-swapped into execution.
-  /// Ignored (forced off) in builds without ENABLE_JIT or on systems
-  /// without a compiler/dlopen.
-  bool jit{true};
-  /// Plan-cache hit count after which compilation of a plan's supported
-  /// pipeline segment is kicked off (asynchronously; queries never wait).
-  uint32_t jit_heat_threshold{3};
-  /// Compiler binary used for out-of-process compilation of generated
-  /// pipelines. Empty uses the compiler this binary was built with.
-  std::string jit_compiler_path;
-  /// Directory for generated sources, shared objects, and compiler logs.
-  /// Empty uses a per-process directory under /tmp.
-  std::string jit_scratch_directory;
+  /// Ignored; kept only so perfbench/ compiles, and removed with its assignment there.
+  bool jit{false};
 };
 
 /// TCP/IP server implementing the subset of the PostgreSQL v3 wire protocol
@@ -191,7 +177,7 @@ class Server {
     std::vector<uint64_t> completions;
   };
 
-  /// Snapshot restore, WAL replay/enable, JIT configuration, socket setup.
+  /// Snapshot restore, WAL replay/enable, socket setup.
   Result<uint16_t> Bootstrap();
 
   void IoLoop(size_t io_index);

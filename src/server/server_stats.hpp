@@ -34,7 +34,6 @@ struct ServerStats {
   // Execution-layer reuse, aggregated from SqlPipelineMetrics.
   std::atomic<uint64_t> pqp_cache_hits{0};
   std::atomic<uint64_t> result_cache_hits{0};
-  std::atomic<uint64_t> jit_hits{0};
   std::atomic<uint64_t> conflict_retries{0};
   std::atomic<uint64_t> wal_wait_ns{0};
 
@@ -64,7 +63,6 @@ struct ServerStats {
         {"memory_budget_rejections", value(memory_budget_rejections)},
         {"pqp_cache_hits", value(pqp_cache_hits)},
         {"result_cache_hits", value(result_cache_hits)},
-        {"jit_hits", value(jit_hits)},
         {"conflict_retries", value(conflict_retries)},
         {"wal_wait_ns", value(wal_wait_ns)},
         {"rows_sent", value(rows_sent)},

@@ -31,7 +31,7 @@ const char* StatusName(SqlPipelineStatus status) {
 }
 
 /// One line per statement, machine-grepable: timing, both cache layers, WAL
-/// wait, JIT outcome, plus the connection and the server-wide admission
+/// wait, plus the connection and the server-wide admission
 /// counters — reuse and overload behavior are observable in production
 /// without a profiler (DESIGN.md §5i).
 void LogStatement(uint64_t session_id, const std::string& query, SqlPipelineStatus status,
@@ -43,12 +43,11 @@ void LogStatement(uint64_t session_id, const std::string& query, SqlPipelineStat
     }
   }
   std::fprintf(stderr,
-               "[statement] conn=%llu status=%s execute_ms=%.3f pqp_cache_hit=%d jit_hit=%d jit_compile_ms=%.3f "
+               "[statement] conn=%llu status=%s execute_ms=%.3f pqp_cache_hit=%d "
                "result_cache_probes=%llu result_cache_hits=%llu result_cache_bytes_saved=%llu retries=%u "
                "wal_wait_ms=%.3f active_conns=%llu queued=%llu admitted=%llu rejected=%llu sql=\"%s\"\n",
                static_cast<unsigned long long>(session_id), StatusName(status),
                static_cast<double>(metrics.execute_ns) / 1e6, metrics.pqp_cache_hit ? 1 : 0,
-               metrics.jit_hit ? 1 : 0, static_cast<double>(metrics.jit_compile_ns) / 1e6,
                static_cast<unsigned long long>(metrics.result_cache_probes),
                static_cast<unsigned long long>(metrics.result_cache_hits),
                static_cast<unsigned long long>(metrics.result_cache_bytes_saved), metrics.conflict_retries,
@@ -737,9 +736,6 @@ void Session::ExecuteStatement(const std::string& sql, const std::vector<AllType
     stats_->pqp_cache_hits.fetch_add(1, std::memory_order_relaxed);
   }
   stats_->result_cache_hits.fetch_add(metrics.result_cache_hits, std::memory_order_relaxed);
-  if (metrics.jit_hit) {
-    stats_->jit_hits.fetch_add(1, std::memory_order_relaxed);
-  }
   stats_->conflict_retries.fetch_add(metrics.conflict_retries, std::memory_order_relaxed);
   stats_->wal_wait_ns.fetch_add(static_cast<uint64_t>(metrics.wal_wait_ns), std::memory_order_relaxed);
   if (config_.log_statements) {

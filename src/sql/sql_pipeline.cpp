@@ -11,7 +11,6 @@
 #include "cache/table_epochs.hpp"
 #include "concurrency/transaction_context.hpp"
 #include "hyrise.hpp"
-#include "jit/jit_engine.hpp"
 #include "logical_query_plan/lqp_translator.hpp"
 #include "operators/abstract_operator.hpp"
 #include "optimizer/optimizer.hpp"
@@ -221,8 +220,6 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
 
   auto pqp = std::shared_ptr<AbstractOperator>{};
   metrics_.pqp_cache_hit = false;
-  metrics_.jit_hit = false;
-  metrics_.jit_compile_ns = 0;
 
   // Plan cache lookup (only sensible for single-statement strings; plans
   // are stored uninstantiated and deep-copied per execution, paper §2.6).
@@ -234,16 +231,6 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
       if (TableEpochRegistry::Get().SchemaEpochsCurrent(cached->table_schema_epochs)) {
         pqp = cached->pqp->DeepCopy();
         metrics_.pqp_cache_hit = true;
-        // Adaptive specialization (DESIGN.md §5h): repeated executions heat
-        // the entry up; once hot, the engine either swaps in an already
-        // compiled pipeline or kicks off an async compile — never waits.
-        auto& jit_engine = jit::JitEngine::Get();
-        if (cached->jit && jit_engine.enabled()) {
-          const auto hits = cached->jit->hits.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (hits >= jit_engine.heat_threshold()) {
-            pqp = jit_engine.MaybeSpecialize(pqp, *cached->jit, &metrics_.jit_hit, &metrics_.jit_compile_ns);
-          }
-        }
       } else {
         pqp_cache_->Erase(sql_);
       }
@@ -283,8 +270,7 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
     pqp = pqp_result.value();
 
     if (pqp_cache_ && single_statement) {
-      pqp_cache_->Set(sql_,
-                      CachedPlan{pqp->DeepCopy(), RecordSchemaEpochs(*pqp), std::make_shared<jit::PlanHeat>()});
+      pqp_cache_->Set(sql_, CachedPlan{pqp->DeepCopy(), RecordSchemaEpochs(*pqp)});
     }
   }
 

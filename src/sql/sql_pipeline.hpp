@@ -46,12 +46,6 @@ struct SqlPipelineMetrics {
   /// Time commits in this pipeline spent blocked on the WAL group-commit
   /// flusher (durability=sync only; 0 otherwise). DESIGN.md §5g.
   int64_t wal_wait_ns{0};
-  /// Adaptive specialization (DESIGN.md §5h): whether this statement executed
-  /// a runtime-compiled pipeline, and — when it did — how long that kernel's
-  /// (asynchronous, earlier) compilation took. Cold and still-compiling
-  /// executions report jit_hit=false; they are never blocked by the compiler.
-  bool jit_hit{false};
-  int64_t jit_compile_ns{0};
 };
 
 enum class SqlPipelineStatus {

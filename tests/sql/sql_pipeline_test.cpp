@@ -227,6 +227,69 @@ TEST_F(SqlTest, PqpCacheHitSkipsPlanning) {
   EXPECT_EQ(cache->hit_count(), 1u);
 }
 
+/// A cached plan is deep-copied per execution and re-bound to the statement's
+/// transaction: committed DML must show up, another transaction's uncommitted
+/// insert must not until it commits. The plan stays cached throughout.
+TEST_F(SqlTest, CachedPlanSeesCommittedWritesAndMvccVisibility) {
+  const auto cache = std::make_shared<PqpCache>(16);
+  const auto* query = "SELECT SUM(grade), COUNT(*), COUNT(grade) FROM students WHERE semester >= 2";
+  const auto run_cached = [&](std::vector<std::vector<AllTypeVariant>> expected) {
+    auto pipeline = SqlPipeline::Builder{query}.WithPqpCache(cache).Build();
+    ASSERT_EQ(pipeline.Execute(), SqlPipelineStatus::kSuccess) << pipeline.error_message();
+    EXPECT_TRUE(pipeline.metrics().pqp_cache_hit);
+    ExpectTableContents(pipeline.result_table(), std::move(expected));
+  };
+
+  // Hot entry: inserted by the first execution, served from the cache after.
+  auto cold = SqlPipeline::Builder{query}.WithPqpCache(cache).Build();
+  ASSERT_EQ(cold.Execute(), SqlPipelineStatus::kSuccess) << cold.error_message();
+  EXPECT_FALSE(cold.metrics().pqp_cache_hit);
+  for (auto repetition = 0; repetition < 3; ++repetition) {
+    run_cached({{8.3, int64_t{5}, int64_t{4}}});
+  }
+
+  ExecuteSql("DELETE FROM students WHERE id = 4");
+  ExecuteSql("INSERT INTO students VALUES (6, 'finn', 5, 4.0), (7, 'gina', 2, NULL)");
+  run_cached({{9.0, int64_t{6}, int64_t{4}}});
+
+  auto other = Hyrise::Get().transaction_manager.NewTransactionContext();
+  auto insert = SqlPipeline::Builder{"INSERT INTO students VALUES (8, 'hank', 2, 100.0)"}
+                    .WithTransactionContext(other)
+                    .Build();
+  ASSERT_EQ(insert.Execute(), SqlPipelineStatus::kSuccess) << insert.error_message();
+  run_cached({{9.0, int64_t{6}, int64_t{4}}});
+
+  other->Commit();
+  run_cached({{109.0, int64_t{7}, int64_t{5}}});
+  EXPECT_EQ(cache->hit_count(), 6u);
+}
+
+/// A hot cached aggregate plan must not serve a dropped and recreated table of
+/// the same name: the first run after the schema change re-plans, agrees with
+/// an uncached execution, and the re-planned entry is cached and agrees again.
+TEST_F(SqlTest, CachedPlanIsReplannedAfterSchemaChange) {
+  const auto cache = std::make_shared<PqpCache>(16);
+  const auto* query = "SELECT SUM(grade), COUNT(*) FROM students";
+  const auto run_cached = [&](bool expect_hit, std::vector<std::vector<AllTypeVariant>> expected) {
+    auto pipeline = SqlPipeline::Builder{query}.WithPqpCache(cache).Build();
+    ASSERT_EQ(pipeline.Execute(), SqlPipelineStatus::kSuccess) << pipeline.error_message();
+    EXPECT_EQ(pipeline.metrics().pqp_cache_hit, expect_hit);
+    ExpectTableContents(pipeline.result_table(), std::move(expected));
+  };
+
+  run_cached(false, {{8.3, int64_t{5}}});
+  run_cached(true, {{8.3, int64_t{5}}});
+
+  ExecuteSql("DROP TABLE students");
+  ExecuteSql("CREATE TABLE students (id INT NOT NULL, semester INT, grade DOUBLE)");
+  ExecuteSql("INSERT INTO students VALUES (1, 1, 10.0), (2, 2, 20.0), (3, 3, NULL)");
+
+  const auto uncached = ExecuteSql(query);
+  ExpectTableContents(uncached, {{30.0, int64_t{3}}});
+  run_cached(false, uncached->GetRows());
+  run_cached(true, uncached->GetRows());
+}
+
 TEST_F(SqlTest, SchedulerExecutionMatchesInline) {
   auto pipeline = SqlPipeline::Builder{"SELECT semester, COUNT(*) FROM students GROUP BY semester"}
                       .UseScheduler(true)
