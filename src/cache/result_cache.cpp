@@ -48,7 +48,7 @@ bool ResultCache::IsValid(const Entry& entry, const std::shared_ptr<TransactionC
   if (context && context->has_pending_writes()) {
     return false;
   }
-  auto& registry = TableEpochRegistry::Get();
+  auto& registry = Hyrise::Get().table_epochs;
   auto& storage_manager = Hyrise::Get().storage_manager;
   for (const auto& dependency : entry.dependencies) {
     const auto current = registry.StateOf(dependency.table_name);
@@ -91,7 +91,7 @@ void ResultCache::Admit(const PlanFingerprint& fingerprint, const std::shared_pt
     return;
   }
 
-  auto& registry = TableEpochRegistry::Get();
+  auto& registry = Hyrise::Get().table_epochs;
   auto& storage_manager = Hyrise::Get().storage_manager;
   auto dependencies = std::vector<TableDependency>{};
   dependencies.reserve(fingerprint.referenced_tables.size());

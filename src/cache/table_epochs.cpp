@@ -4,11 +4,6 @@
 
 namespace hyrise {
 
-TableEpochRegistry& TableEpochRegistry::Get() {
-  static TableEpochRegistry registry;
-  return registry;
-}
-
 void TableEpochRegistry::OnCommittedWrite(const std::string& table_name, CommitID commit_id) {
   const auto lock = std::lock_guard{mutex_};
   auto& state = states_[table_name];

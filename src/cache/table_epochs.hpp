@@ -28,18 +28,18 @@ struct TableEpochState {
   CommitID last_write_cid{0};
 };
 
-/// Process-wide registry of per-table invalidation epochs (DESIGN.md §5f).
+/// Registry of per-table invalidation epochs (DESIGN.md §5f), owned by the
+/// Hyrise instance (`Hyrise::Get().table_epochs`).
 ///
 /// Writers bump epochs *before* the commit ID is published (inside the
 /// commit critical section): a reader whose snapshot includes commit C can
 /// therefore never observe the pre-C epoch, which closes the race where a
 /// fresh transaction would otherwise validate a stale cache entry. Epochs
-/// are keyed by table name and survive Hyrise::Reset() — they only ever
-/// grow, so entries from a previous instance can never be revalidated.
+/// are keyed by table name. Hyrise::Reset() starts a fresh registry together
+/// with fresh commit IDs and empty caches, so no recorded commit ID outlives
+/// the commit-ID sequence it belongs to.
 class TableEpochRegistry {
  public:
-  static TableEpochRegistry& Get();
-
   /// Commit hook: a transaction committed writes to `table_name` with
   /// `commit_id`. Must be called before the commit ID becomes visible.
   void OnCommittedWrite(const std::string& table_name, CommitID commit_id);
@@ -56,8 +56,6 @@ class TableEpochRegistry {
   bool SchemaEpochsCurrent(const std::vector<std::pair<std::string, uint64_t>>& epochs) const;
 
  private:
-  TableEpochRegistry() = default;
-
   mutable std::mutex mutex_;
   std::unordered_map<std::string, TableEpochState> states_;
 };

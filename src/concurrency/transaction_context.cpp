@@ -4,7 +4,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "cache/table_epochs.hpp"
 #include "hyrise.hpp"
 #include "operators/abstract_operator.hpp"
 #include "persistence/wal.hpp"
@@ -90,7 +89,7 @@ bool TransactionContext::Commit() {
     {
       const auto written_lock = std::lock_guard{written_tables_mutex_};
       for (const auto& table_name : written_tables_) {
-        TableEpochRegistry::Get().OnCommittedWrite(table_name, commit_id);
+        Hyrise::Get().table_epochs.OnCommittedWrite(table_name, commit_id);
       }
     }
     manager_.last_commit_id_.store(commit_id, std::memory_order_release);

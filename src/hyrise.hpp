@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/table_epochs.hpp"
 #include "concurrency/transaction_context.hpp"
 #include "storage/storage_manager.hpp"
 
@@ -64,6 +65,11 @@ class Hyrise {
 
   StorageManager storage_manager;
   TransactionManager transaction_manager;
+
+  /// Per-table invalidation epochs of the caches below; they record commit
+  /// IDs of `transaction_manager`, so they reset together.
+  TableEpochRegistry table_epochs;
+
   std::unique_ptr<PluginManager> plugin_manager;
 
   /// Write-ahead redo log (DESIGN.md §5g). Never null; disabled until

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <limits>
 
 #include "expression/expression_utils.hpp"
 #include "expression/expressions.hpp"
@@ -14,25 +14,22 @@ namespace hyrise {
 
 namespace {
 
-constexpr auto kNonEquiSelectivity = 0.3;
-
 struct RegionPredicate {
   ExpressionPtr expression;
   uint32_t vertex_mask{0};
-  bool is_equi{false};
-  double selectivity{1.0};  // Fallback for non-equi predicates.
-  // For equi predicates: per-argument base distinct counts and vertex masks,
-  // so the DP can cap the distinct count at the (filtered) side cardinality.
-  double ndv_left{0.0};
-  double ndv_right{0.0};
-  uint32_t mask_left{0};
-  uint32_t mask_right{0};
 };
 
-struct DpEntry {
+/// A (partial) plan with its estimated cardinality.
+struct SizedPlan {
   LqpNodePtr plan;
+  double rows{0.0};
+};
+
+/// Best split found for one subset of the region's vertices.
+struct DpEntry {
   double cost{0.0};
   double rows{0.0};
+  uint32_t left_mask{0};
   bool valid{false};
 };
 
@@ -56,54 +53,54 @@ void CollectRegion(const LqpNodePtr& node, std::vector<LqpNodePtr>& vertices, Ex
   vertices.push_back(node);
 }
 
+/// The predicates that join the vertex sets `s1` and `s2`.
+Expressions ConnectingPredicates(const std::vector<RegionPredicate>& predicates, uint32_t s1, uint32_t s2) {
+  auto connecting = Expressions{};
+  for (const auto& predicate : predicates) {
+    if ((predicate.vertex_mask & ~(s1 | s2)) == 0 && (predicate.vertex_mask & s1) != 0 &&
+        (predicate.vertex_mask & s2) != 0) {
+      connecting.push_back(predicate.expression);
+    }
+  }
+  return connecting;
+}
+
 /// Builds the inner join of two partial plans with the given predicates
-/// (equality first, smaller side as the hash join's build side on the right).
-LqpNodePtr MakeJoin(const DpEntry& left, const DpEntry& right, std::vector<const RegionPredicate*> connecting) {
+/// (smaller side as the hash join's build side on the right). The hash join
+/// keys on the first predicate, so equalities go first and the most
+/// selective one leads: it produces the fewest candidates per probe.
+LqpNodePtr MakeJoin(const SizedPlan& left, const SizedPlan& right, Expressions connecting,
+                    const CardinalityEstimator& estimator) {
   const auto& build_side = right.rows <= left.rows ? right : left;
   const auto& probe_side = right.rows <= left.rows ? left : right;
   if (connecting.empty()) {
     return JoinNode::MakeCross(probe_side.plan, build_side.plan);
   }
-  // Equalities first, and among them the highest-distinct-count one leads:
-  // the hash join keys on the first predicate, so the leading equality should
-  // produce the fewest candidates per probe.
-  std::stable_sort(connecting.begin(), connecting.end(), [](const auto* lhs, const auto* rhs) {
-    if (lhs->is_equi != rhs->is_equi) {
-      return lhs->is_equi > rhs->is_equi;
-    }
-    return std::max(lhs->ndv_left, lhs->ndv_right) > std::max(rhs->ndv_left, rhs->ndv_right);
-  });
-  auto expressions = Expressions{};
-  expressions.reserve(connecting.size());
-  for (const auto* predicate : connecting) {
-    expressions.push_back(predicate->expression);
-  }
-  return JoinNode::Make(JoinMode::kInner, std::move(expressions), probe_side.plan, build_side.plan);
+  const auto rank = [&](const ExpressionPtr& predicate) {
+    const auto is_equality = predicate->type == ExpressionType::kPredicate &&
+                             static_cast<const PredicateExpression&>(*predicate).condition == PredicateCondition::kEquals;
+    return std::pair{!is_equality, estimator.EstimateJoinSelectivity({predicate})};
+  };
+  std::stable_sort(connecting.begin(), connecting.end(),
+                   [&](const auto& lhs, const auto& rhs) { return rank(lhs) < rank(rhs); });
+  return JoinNode::Make(JoinMode::kInner, std::move(connecting), probe_side.plan, build_side.plan);
 }
 
-/// Selectivity of the connecting predicates for a split with the given side
-/// cardinalities. For equi predicates, 1/max(ndv) with each distinct count
-/// capped at its side's (already filtered) row count — a cheap remedy for
-/// the classic independence-assumption blowup.
-double JoinSelectivity(const std::vector<const RegionPredicate*>& connecting, uint32_t s1, double rows_s1,
-                       double rows_s2) {
-  auto selectivity = 1.0;
-  for (const auto* predicate : connecting) {
-    if (!predicate->is_equi || predicate->ndv_left <= 0.0) {
-      selectivity *= predicate->selectivity;
-      continue;
-    }
-    const auto left_in_s1 = (predicate->mask_left & s1) != 0;
-    const auto rows_of_left = left_in_s1 ? rows_s1 : rows_s2;
-    const auto rows_of_right = left_in_s1 ? rows_s2 : rows_s1;
-    const auto distinct = std::max({std::min(predicate->ndv_left, rows_of_left),
-                                    std::min(predicate->ndv_right, rows_of_right), 1.0});
-    selectivity *= 1.0 / distinct;
+/// Materializes the DP's best plan for the vertex subset `mask`.
+SizedPlan BuildPlan(const std::vector<DpEntry>& dp, uint32_t mask, const std::vector<LqpNodePtr>& vertices,
+                    const std::vector<RegionPredicate>& predicates, const CardinalityEstimator& estimator) {
+  if (std::popcount(mask) == 1) {
+    return {vertices[std::countr_zero(mask)], dp[mask].rows};
   }
-  return selectivity;
+  const auto left_mask = dp[mask].left_mask;
+  const auto right_mask = mask ^ left_mask;
+  return {MakeJoin(BuildPlan(dp, left_mask, vertices, predicates, estimator),
+                   BuildPlan(dp, right_mask, vertices, predicates, estimator),
+                   ConnectingPredicates(predicates, left_mask, right_mask), estimator),
+          dp[mask].rows};
 }
 
-LqpNodePtr OrderRegion(const std::vector<LqpNodePtr>& vertices, std::vector<RegionPredicate>& predicates,
+LqpNodePtr OrderRegion(const std::vector<LqpNodePtr>& vertices, const std::vector<RegionPredicate>& predicates,
                        const CardinalityEstimator& estimator) {
   const auto vertex_count = vertices.size();
   const auto full_mask = vertex_count >= 32 ? 0u : (uint32_t{1} << vertex_count) - 1;
@@ -113,11 +110,7 @@ LqpNodePtr OrderRegion(const std::vector<LqpNodePtr>& vertices, std::vector<Regi
     // no connecting predicate at all.
     auto dp = std::vector<DpEntry>(size_t{1} << vertex_count);
     for (auto index = size_t{0}; index < vertex_count; ++index) {
-      auto& entry = dp[size_t{1} << index];
-      entry.plan = vertices[index];
-      entry.rows = std::max(1.0, estimator.EstimateRowCount(vertices[index]));
-      entry.cost = 0.0;
-      entry.valid = true;
+      dp[size_t{1} << index] = {0.0, std::max(1.0, estimator.EstimateRowCount(vertices[index])), 0, true};
     }
     for (auto mask = uint32_t{1}; mask <= full_mask; ++mask) {
       if (std::popcount(mask) < 2) {
@@ -138,58 +131,40 @@ LqpNodePtr OrderRegion(const std::vector<LqpNodePtr>& vertices, std::vector<Regi
           if (!left.valid || !right.valid) {
             continue;
           }
-          auto connecting = std::vector<const RegionPredicate*>{};
-          for (const auto& predicate : predicates) {
-            if ((predicate.vertex_mask & ~mask) == 0 && (predicate.vertex_mask & s1) != 0 &&
-                (predicate.vertex_mask & s2) != 0) {
-              connecting.push_back(&predicate);
-            }
-          }
+          const auto connecting = ConnectingPredicates(predicates, s1, s2);
           if (connecting.empty() && !allow_cross) {
             continue;
           }
-          const auto rows =
-              std::max(1.0, left.rows * right.rows * JoinSelectivity(connecting, s1, left.rows, right.rows));
+          const auto rows = std::max(1.0, left.rows * right.rows * estimator.EstimateJoinSelectivity(connecting));
           const auto cost = left.cost + right.cost + rows;
           if (!best.valid || cost < best.cost) {
-            best.plan = MakeJoin(left, right, std::move(connecting));
-            best.cost = cost;
-            best.rows = rows;
-            best.valid = true;
+            best = {cost, rows, s1, true};
           }
         }
       }
       Assert(best.valid, "DP failed to build a plan for a subset");
     }
-    return dp[full_mask].plan;
+    return BuildPlan(dp, full_mask, vertices, predicates, estimator).plan;
   }
 
   // Greedy left-deep fallback for very large regions.
-  auto remaining = std::vector<DpEntry>{};
+  auto remaining = std::vector<SizedPlan>{};
   auto remaining_masks = std::vector<uint32_t>{};
   for (auto index = size_t{0}; index < vertex_count; ++index) {
-    remaining.push_back({vertices[index], 0.0, std::max(1.0, estimator.EstimateRowCount(vertices[index])), true});
+    remaining.push_back({vertices[index], std::max(1.0, estimator.EstimateRowCount(vertices[index]))});
     remaining_masks.push_back(uint32_t{1} << index);
   }
   while (remaining.size() > 1) {
     auto best_rows = std::numeric_limits<double>::max();
     auto best_i = size_t{0};
     auto best_j = size_t{1};
-    auto best_connecting = std::vector<const RegionPredicate*>{};
+    auto best_connecting = Expressions{};
     for (auto i = size_t{0}; i < remaining.size(); ++i) {
       for (auto j = i + 1; j < remaining.size(); ++j) {
-        const auto mask = remaining_masks[i] | remaining_masks[j];
-        auto connecting = std::vector<const RegionPredicate*>{};
-        for (const auto& predicate : predicates) {
-          if ((predicate.vertex_mask & ~mask) == 0 && (predicate.vertex_mask & remaining_masks[i]) != 0 &&
-              (predicate.vertex_mask & remaining_masks[j]) != 0) {
-            connecting.push_back(&predicate);
-          }
-        }
+        auto connecting = ConnectingPredicates(predicates, remaining_masks[i], remaining_masks[j]);
         const auto penalty = connecting.empty() ? 1e6 : 1.0;  // Crosses only as a last resort.
-        const auto rows = remaining[i].rows * remaining[j].rows *
-                          JoinSelectivity(connecting, remaining_masks[i], remaining[i].rows, remaining[j].rows) *
-                          penalty;
+        const auto rows =
+            remaining[i].rows * remaining[j].rows * estimator.EstimateJoinSelectivity(connecting) * penalty;
         if (rows < best_rows) {
           best_rows = rows;
           best_i = i;
@@ -198,12 +173,9 @@ LqpNodePtr OrderRegion(const std::vector<LqpNodePtr>& vertices, std::vector<Regi
         }
       }
     }
-    auto joined = DpEntry{};
-    joined.rows = std::max(1.0, best_rows);
-    joined.plan = MakeJoin(remaining[best_i], remaining[best_j], best_connecting);
-    joined.valid = true;
+    remaining[best_i] = {MakeJoin(remaining[best_i], remaining[best_j], std::move(best_connecting), estimator),
+                         std::max(1.0, best_rows)};
     remaining_masks[best_i] |= remaining_masks[best_j];
-    remaining[best_i] = std::move(joined);
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best_j));
     remaining_masks.erase(remaining_masks.begin() + static_cast<ptrdiff_t>(best_j));
   }
@@ -251,36 +223,7 @@ bool ReorderRecursively(LqpNodePtr& edge, const CardinalityEstimator& estimator)
           deferred.push_back(expression);
           continue;
         }
-        auto predicate = RegionPredicate{};
-        predicate.expression = expression;
-        predicate.vertex_mask = mask;
-        predicate.selectivity = kNonEquiSelectivity;
-        if (expression->type == ExpressionType::kPredicate) {
-          const auto& typed = static_cast<const PredicateExpression&>(*expression);
-          if (typed.condition == PredicateCondition::kEquals && typed.arguments.size() == 2) {
-            predicate.is_equi = true;
-            predicate.ndv_left = CardinalityEstimator::DistinctCountOf(typed.arguments[0], 100.0);
-            predicate.ndv_right = CardinalityEstimator::DistinctCountOf(typed.arguments[1], 100.0);
-            const auto mask_of = [&](const ExpressionPtr& argument) {
-              auto argument_columns = Expressions{};
-              CollectLqpColumns(argument, argument_columns);
-              auto argument_mask = uint32_t{0};
-              for (const auto& column : argument_columns) {
-                for (auto index = size_t{0}; index < vertices.size(); ++index) {
-                  if (ExpressionEvaluableOnLqp(column, *vertices[index])) {
-                    argument_mask |= uint32_t{1} << index;
-                    break;
-                  }
-                }
-              }
-              return argument_mask;
-            };
-            predicate.mask_left = mask_of(typed.arguments[0]);
-            predicate.mask_right = mask_of(typed.arguments[1]);
-            predicate.selectivity = 1.0 / std::max({predicate.ndv_left, predicate.ndv_right, 1.0});
-          }
-        }
-        predicates.push_back(std::move(predicate));
+        predicates.push_back({expression, mask});
       }
 
       auto plan = OrderRegion(vertices, predicates, estimator);

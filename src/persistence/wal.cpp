@@ -15,7 +15,6 @@
 
 #include "concurrency/transaction_context.hpp"
 #include "hyrise.hpp"
-#include "cache/table_epochs.hpp"
 #include "operators/delete.hpp"
 #include "operators/insert.hpp"
 #include "persistence/binary_format.hpp"
@@ -555,14 +554,14 @@ Result<bool> ApplyRecord(const RecordView& record, WalRecoveryStats& stats) {
         if (!applied.ok()) {
           return applied;
         }
-        TableEpochRegistry::Get().OnCommittedWrite(group.table_name, record.commit_id);
+        Hyrise::Get().table_epochs.OnCommittedWrite(group.table_name, record.commit_id);
       }
       for (const auto& group : insert_groups) {
         const auto applied = ApplyInsertGroup(group, record.commit_id, stats);
         if (!applied.ok()) {
           return applied;
         }
-        TableEpochRegistry::Get().OnCommittedWrite(group.table_name, record.commit_id);
+        Hyrise::Get().table_epochs.OnCommittedWrite(group.table_name, record.commit_id);
       }
       return true;
     }

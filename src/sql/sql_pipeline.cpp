@@ -8,7 +8,6 @@
 
 #include "cache/plan_fingerprint.hpp"
 #include "cache/result_cache.hpp"
-#include "cache/table_epochs.hpp"
 #include "concurrency/transaction_context.hpp"
 #include "hyrise.hpp"
 #include "logical_query_plan/lqp_translator.hpp"
@@ -43,7 +42,7 @@ void BackoffBeforeRetry(uint32_t attempt) {
 std::vector<std::pair<std::string, uint64_t>> RecordSchemaEpochs(const AbstractOperator& pqp) {
   auto epochs = std::vector<std::pair<std::string, uint64_t>>{};
   for (const auto& table_name : CollectReferencedTableNames(pqp)) {
-    epochs.emplace_back(table_name, TableEpochRegistry::Get().StateOf(table_name).schema_epoch);
+    epochs.emplace_back(table_name, Hyrise::Get().table_epochs.StateOf(table_name).schema_epoch);
   }
   return epochs;
 }
@@ -228,7 +227,7 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
   // a mismatch drops the entry and re-plans.
   if (pqp_cache_ && single_statement) {
     if (const auto cached = pqp_cache_->TryGet(sql_)) {
-      if (TableEpochRegistry::Get().SchemaEpochsCurrent(cached->table_schema_epochs)) {
+      if (Hyrise::Get().table_epochs.SchemaEpochsCurrent(cached->table_schema_epochs)) {
         pqp = cached->pqp->DeepCopy();
         metrics_.pqp_cache_hit = true;
       } else {

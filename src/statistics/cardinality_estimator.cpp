@@ -1,6 +1,8 @@
 #include "statistics/cardinality_estimator.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <tuple>
 
 #include "hyrise.hpp"
 #include "logical_query_plan/operator_nodes.hpp"
@@ -20,35 +22,89 @@ constexpr auto kLikeSelectivity = 0.1;
 
 std::shared_ptr<TableStatistics> StatisticsOfTable(const std::string& table_name) {
   const auto table = Hyrise::Get().storage_manager.GetTable(table_name);
-  if (!table->table_statistics()) {
-    table->SetTableStatistics(GenerateTableStatistics(*table));
-  }
-  return table->table_statistics();
+  return table->GetOrBuildTableStatistics([&] { return GenerateTableStatistics(*table); });
 }
 
-}  // namespace
+/// A base-table column: its StoredTableNode, the table's row count and the
+/// column's statistics. All empty if the expression is no such column.
+struct BaseColumn {
+  const AbstractLqpNode* table{nullptr};
+  double table_rows{0.0};
+  std::shared_ptr<const BaseAttributeStatistics> statistics;
+};
 
-std::shared_ptr<const BaseAttributeStatistics> CardinalityEstimator::ResolveBaseColumnStatistics(
-    const ExpressionPtr& expression) {
+BaseColumn ResolveBaseColumn(const ExpressionPtr& expression) {
   if (expression->type != ExpressionType::kLqpColumn) {
-    return nullptr;
+    return {};
   }
   const auto& column = static_cast<const LqpColumnExpression&>(*expression);
   const auto node = column.original_node.lock();
   if (!node || node->type != LqpNodeType::kStoredTable) {
-    return nullptr;
+    return {};
   }
-  const auto& stored = static_cast<const StoredTableNode&>(*node);
-  const auto statistics = StatisticsOfTable(stored.table_name);
+  const auto statistics = StatisticsOfTable(static_cast<const StoredTableNode&>(*node).table_name);
   if (column.original_column_id >= statistics->column_statistics.size()) {
-    return nullptr;
+    return {};
   }
-  return statistics->column_statistics[column.original_column_id];
+  return {node.get(), statistics->row_count, statistics->column_statistics[column.original_column_id]};
 }
 
-double CardinalityEstimator::DistinctCountOf(const ExpressionPtr& expression, double fallback) {
-  const auto statistics = ResolveBaseColumnStatistics(expression);
-  return statistics ? statistics->distinct_count() : fallback;
+}  // namespace
+
+const CardinalityEstimator::JoinConjunct& CardinalityEstimator::ResolveJoinConjunct(
+    const ExpressionPtr& predicate) const {
+  const auto cached = join_conjunct_cache_.find(predicate);
+  if (cached != join_conjunct_cache_.end()) {
+    return cached->second;
+  }
+
+  auto conjunct = JoinConjunct{kDefaultSelectivity};
+  if (predicate->type == ExpressionType::kPredicate &&
+      static_cast<const PredicateExpression&>(*predicate).condition == PredicateCondition::kEquals) {
+    // Containment: every value of the side with fewer distinct values finds
+    // a partner, so the equality keeps 1 / max(distinct counts) of the pairs.
+    const auto left = ResolveBaseColumn(predicate->arguments[0]);
+    const auto right = ResolveBaseColumn(predicate->arguments[1]);
+    const auto distinct = std::max(left.statistics ? left.statistics->distinct_count() : 0.0,
+                                   right.statistics ? right.statistics->distinct_count() : 0.0);
+    conjunct.selectivity = distinct > 0.0 ? 1.0 / std::max(distinct, 1.0) : kEqualsFallback;
+    if (left.statistics && right.statistics) {
+      std::tie(conjunct.lower_table, conjunct.upper_table) = std::minmax(left.table, right.table, std::less<>{});
+      conjunct.key_cap = std::min(left.table_rows, right.table_rows);
+    }
+  }
+  return join_conjunct_cache_.emplace(predicate, conjunct).first->second;
+}
+
+double CardinalityEstimator::EstimateJoinSelectivity(const Expressions& predicates) const {
+  // The equalities between one pair of stored tables, identified by the
+  // first of them, and the product of their distinct counts.
+  struct CompositeKey {
+    const JoinConjunct* first;
+    double distinct;
+  };
+  auto keys = std::vector<CompositeKey>{};
+  auto selectivity = 1.0;
+  for (const auto& predicate : predicates) {
+    const auto& conjunct = ResolveJoinConjunct(predicate);
+    if (!conjunct.lower_table) {
+      selectivity *= conjunct.selectivity;
+      continue;
+    }
+    const auto key = std::find_if(keys.begin(), keys.end(), [&](const auto& candidate) {
+      return candidate.first->lower_table == conjunct.lower_table &&
+             candidate.first->upper_table == conjunct.upper_table;
+    });
+    if (key == keys.end()) {
+      keys.push_back({&conjunct, 1.0 / conjunct.selectivity});
+    } else {
+      key->distinct /= conjunct.selectivity;
+    }
+  }
+  for (const auto& key : keys) {
+    selectivity /= std::max(1.0, std::min(key.distinct, key.first->key_cap));
+  }
+  return selectivity;
 }
 
 double CardinalityEstimator::EstimateSelectivity(const ExpressionPtr& predicate, const LqpNodePtr& input) const {
@@ -65,7 +121,7 @@ double CardinalityEstimator::EstimateSelectivity(const ExpressionPtr& predicate,
         case PredicateCondition::kBetweenInclusive: {
           // column <op> literal: ask the histogram.
           const auto& column = typed.arguments[0];
-          const auto statistics = ResolveBaseColumnStatistics(column);
+          const auto statistics = ResolveBaseColumn(column).statistics;
           if (statistics && typed.arguments[1]->type == ExpressionType::kValue) {
             const auto& value = static_cast<const ValueExpression&>(*typed.arguments[1]).value;
             auto value2 = std::optional<AllTypeVariant>{};
@@ -76,28 +132,18 @@ double CardinalityEstimator::EstimateSelectivity(const ExpressionPtr& predicate,
             return std::clamp(statistics->EstimateSelectivity(typed.condition, value, value2), 0.0, 1.0);
           }
           // column <op> column or flipped literals.
-          if (typed.condition == PredicateCondition::kEquals) {
-            const auto distinct = std::max(DistinctCountOf(typed.arguments[0], 0.0),
-                                           typed.arguments.size() > 1
-                                               ? DistinctCountOf(typed.arguments[1], 0.0)
-                                               : 0.0);
-            if (distinct > 0.0) {
-              return 1.0 / distinct;
-            }
-            return kEqualsFallback;
-          }
-          return kDefaultSelectivity;
+          return EstimateJoinSelectivity({predicate});
         }
         case PredicateCondition::kLike:
           return kLikeSelectivity;
         case PredicateCondition::kNotLike:
           return 1.0 - kLikeSelectivity;
         case PredicateCondition::kIsNull: {
-          const auto statistics = ResolveBaseColumnStatistics(predicate->arguments[0]);
+          const auto statistics = ResolveBaseColumn(predicate->arguments[0]).statistics;
           return statistics ? statistics->null_ratio : 0.05;
         }
         case PredicateCondition::kIsNotNull: {
-          const auto statistics = ResolveBaseColumnStatistics(predicate->arguments[0]);
+          const auto statistics = ResolveBaseColumn(predicate->arguments[0]).statistics;
           return statistics ? 1.0 - statistics->null_ratio : 0.95;
         }
         case PredicateCondition::kIn:
@@ -162,31 +208,13 @@ double CardinalityEstimator::EstimateRowCount(const LqpNodePtr& node) const {
         case JoinMode::kAnti:
           rows = left * 0.5;
           break;
-        default: {
-          // Equi join: containment assumption.
-          auto selectivity = 1.0;
-          if (!join.node_expressions.empty() &&
-              join.node_expressions[0]->type == ExpressionType::kPredicate) {
-            const auto& predicate = static_cast<const PredicateExpression&>(*join.node_expressions[0]);
-            if (predicate.condition == PredicateCondition::kEquals && predicate.arguments.size() == 2) {
-              const auto distinct = std::max({DistinctCountOf(predicate.arguments[0], 0.0),
-                                              DistinctCountOf(predicate.arguments[1], 0.0), 1.0});
-              selectivity = 1.0 / distinct;
-            } else {
-              selectivity = kDefaultSelectivity;
-            }
-          }
-          // Additional join predicates reduce further.
-          for (auto index = size_t{1}; index < join.node_expressions.size(); ++index) {
-            selectivity *= kDefaultSelectivity;
-          }
-          rows = left * right * selectivity;
+        default:
+          rows = left * right * EstimateJoinSelectivity(join.node_expressions);
           if (join.join_mode == JoinMode::kLeft || join.join_mode == JoinMode::kFullOuter ||
               join.join_mode == JoinMode::kRight) {
             rows = std::max(rows, join.join_mode == JoinMode::kRight ? right : left);
           }
           break;
-        }
       }
       break;
     }
@@ -199,7 +227,8 @@ double CardinalityEstimator::EstimateRowCount(const LqpNodePtr& node) const {
       }
       auto groups = 1.0;
       for (auto index = size_t{0}; index < aggregate.group_by_count; ++index) {
-        groups *= DistinctCountOf(aggregate.node_expressions[index], 10.0);
+        const auto statistics = ResolveBaseColumn(aggregate.node_expressions[index]).statistics;
+        groups *= statistics ? statistics->distinct_count() : 10.0;
       }
       rows = std::min(groups, input_rows);
       break;

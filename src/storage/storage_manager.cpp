@@ -1,6 +1,5 @@
 #include "storage/storage_manager.hpp"
 
-#include "cache/table_epochs.hpp"
 #include "hyrise.hpp"
 #include "persistence/snapshot_manager.hpp"
 #include "persistence/wal.hpp"
@@ -15,7 +14,7 @@ namespace {
 /// cached plans for the affected name. The current global commit ID is
 /// recorded so snapshots that predate the change stop matching.
 void BumpSchemaEpoch(const std::string& name) {
-  TableEpochRegistry::Get().OnSchemaChange(name, Hyrise::Get().transaction_manager.last_commit_id());
+  Hyrise::Get().table_epochs.OnSchemaChange(name, Hyrise::Get().transaction_manager.last_commit_id());
 }
 
 }  // namespace

@@ -164,4 +164,23 @@ size_t Table::MemoryUsage() const {
   return bytes;
 }
 
+std::shared_ptr<TableStatistics> Table::table_statistics() const {
+  const auto lock = std::lock_guard{statistics_mutex_};
+  return table_statistics_;
+}
+
+void Table::SetTableStatistics(std::shared_ptr<TableStatistics> statistics) {
+  const auto lock = std::lock_guard{statistics_mutex_};
+  table_statistics_ = std::move(statistics);
+}
+
+std::shared_ptr<TableStatistics> Table::GetOrBuildTableStatistics(
+    const std::function<std::shared_ptr<TableStatistics>()>& build) {
+  const auto lock = std::lock_guard{statistics_mutex_};
+  if (!table_statistics_) {
+    table_statistics_ = build();
+  }
+  return table_statistics_;
+}
+
 }  // namespace hyrise

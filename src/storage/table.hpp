@@ -1,6 +1,7 @@
 #ifndef HYRISE_SRC_STORAGE_TABLE_HPP_
 #define HYRISE_SRC_STORAGE_TABLE_HPP_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -109,13 +110,16 @@ class Table {
 
   // --- Statistics -----------------------------------------------------------
 
-  const std::shared_ptr<TableStatistics>& table_statistics() const {
-    return table_statistics_;
-  }
+  // Thread-safe: concurrent sessions plan against the same tables.
 
-  void SetTableStatistics(std::shared_ptr<TableStatistics> statistics) {
-    table_statistics_ = std::move(statistics);
-  }
+  std::shared_ptr<TableStatistics> table_statistics() const;
+
+  void SetTableStatistics(std::shared_ptr<TableStatistics> statistics);
+
+  /// The statistics, built with `build` first if the table has none yet.
+  /// Concurrent callers wait for that one build.
+  std::shared_ptr<TableStatistics> GetOrBuildTableStatistics(
+      const std::function<std::shared_ptr<TableStatistics>()>& build);
 
   std::mutex& append_mutex() {
     return append_mutex_;
@@ -128,6 +132,7 @@ class Table {
   UseMvcc use_mvcc_;
   std::vector<std::shared_ptr<Chunk>> chunks_;
   std::shared_ptr<TableStatistics> table_statistics_;
+  mutable std::mutex statistics_mutex_;
   mutable std::mutex chunks_mutex_;
   std::mutex append_mutex_;
 };

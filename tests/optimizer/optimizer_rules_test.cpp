@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "benchmarklib/tpch/tpch_queries.hpp"
+#include "benchmarklib/tpch/tpch_table_generator.hpp"
 #include "expression/expression_utils.hpp"
 #include "expression/expressions.hpp"
 #include "hyrise.hpp"
@@ -54,6 +58,33 @@ std::vector<std::shared_ptr<NodeType>> CollectNodes(const LqpNodePtr& root, LqpN
     return true;
   });
   return nodes;
+}
+
+/// The first node (pre-order) of the plan satisfying `match`, or nullptr.
+template <typename Match>
+LqpNodePtr FindNode(const LqpNodePtr& root, const Match& match) {
+  auto found = LqpNodePtr{};
+  VisitLqp(root, [&](const LqpNodePtr& node) {
+    if (!found && match(node)) {
+      found = node;
+    }
+    return !found;
+  });
+  return found;
+}
+
+/// Matches nodes that carry an expression whose description contains `text`.
+auto HasExpression(const std::string& text) {
+  return [text](const LqpNodePtr& node) {
+    return std::any_of(node->node_expressions.begin(), node->node_expressions.end(),
+                       [&](const auto& expression) { return expression->Description().find(text) != std::string::npos; });
+  };
+}
+
+auto IsStoredTable(const std::string& table_name) {
+  return [table_name](const LqpNodePtr& node) {
+    return node->type == LqpNodeType::kStoredTable && static_cast<const StoredTableNode&>(*node).table_name == table_name;
+  };
 }
 
 }  // namespace
@@ -203,6 +234,48 @@ TEST_F(OptimizerRulesTest, IndexScanRuleSetsHintOnlyWithIndexAndSelectivity) {
   const auto unselective_predicates = CollectNodes<PredicateNode>(unselective, LqpNodeType::kPredicate);
   ASSERT_EQ(unselective_predicates.size(), 1u);
   EXPECT_FALSE(unselective_predicates[0]->prefer_index) << "high selectivity prefers the scan";
+}
+
+/// Join orders the default optimizer picks for TPC-H. The plans depend only on
+/// the statistics, so the tables stay unencoded. SF 0.02 is the smallest scale
+/// at which supplier outgrows the estimated nation × nation pairs of Q7.
+class TpchJoinOrderTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    Hyrise::Reset();
+    auto config = TpchConfig{};
+    config.scale_factor = 0.02;
+    config.encoding = SegmentEncodingSpec{EncodingType::kUnencoded};
+    config.generate_statistics = false;
+    GenerateTpchTables(config);
+  }
+
+  static LqpNodePtr OptimizedPlan(size_t query_id) {
+    return Optimizer::CreateDefault()->Optimize(TranslateQuery(TpchQuery(query_id)));
+  }
+};
+
+TEST_F(TpchJoinOrderTest, Q9JoinsFilteredPartFirstAndQ7FiltersNationPairsBelowSupplier) {
+  // Q9: ps_partkey = l_partkey AND ps_suppkey = l_suppkey is one correlated
+  // key, so lineitem⋈partsupp keeps every lineitem row; the 5% part filter
+  // must shrink lineitem before partsupp joins.
+  const auto q9 = OptimizedPlan(9);
+  const auto partsupp_join = FindNode(q9, HasExpression("ps_partkey = l_partkey"));
+  ASSERT_TRUE(partsupp_join);
+  const auto part_filter = FindNode(partsupp_join, HasExpression("LIKE"));
+  ASSERT_TRUE(part_filter) << "the filtered part is joined above lineitem⋈partsupp";
+  EXPECT_TRUE(FindNode(part_filter, IsStoredTable("part")));
+
+  // Q7: the OR of the two nation names joins nation × nation before supplier.
+  const auto q7 = OptimizedPlan(7);
+  const auto supplier_join = FindNode(q7, HasExpression("s_nationkey = n_nationkey"));
+  ASSERT_TRUE(supplier_join);
+  const auto nation_pairs = FindNode(supplier_join, HasExpression(" OR "));
+  ASSERT_TRUE(nation_pairs) << "the OR predicate is applied above the supplier join";
+  const auto tables = CollectNodes<StoredTableNode>(nation_pairs, LqpNodeType::kStoredTable);
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[0]->table_name, "nation");
+  EXPECT_EQ(tables[1]->table_name, "nation");
 }
 
 }  // namespace hyrise
