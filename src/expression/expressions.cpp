@@ -1,5 +1,6 @@
 #include "expression/expressions.hpp"
 
+#include <stdexcept>
 #include <typeinfo>
 
 #include "logical_query_plan/abstract_lqp_node.hpp"
@@ -55,7 +56,9 @@ DataType PromoteDataTypes(DataType lhs, DataType rhs) {
     return lhs;
   }
   if (lhs == DataType::kString || rhs == DataType::kString) {
-    Assert(lhs == rhs, "Cannot combine string and numeric types");
+    if (lhs != rhs) {
+      throw std::invalid_argument{"Cannot combine string and numeric types"};
+    }
     return DataType::kString;
   }
   if (lhs == DataType::kDouble || rhs == DataType::kDouble) {

@@ -15,7 +15,8 @@ namespace hyrise {
 class AbstractLqpNode;
 class AbstractOperator;
 
-/// Numeric type promotion for arithmetic and comparisons.
+/// Numeric type promotion for arithmetic and comparisons. String against
+/// number throws std::invalid_argument, which fails the statement.
 DataType PromoteDataTypes(DataType lhs, DataType rhs);
 
 // --- Leaves ------------------------------------------------------------------

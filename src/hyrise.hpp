@@ -17,7 +17,6 @@ class PluginManager;
 template <typename Key, typename Value>
 class GdfsCache;
 class AbstractOperator;
-class AbstractLqpNode;
 class ResultCache;
 
 namespace persistence {
@@ -35,10 +34,9 @@ struct CachedPlan {
 };
 
 using PqpCache = GdfsCache<std::string, CachedPlan>;
-using LqpCache = GdfsCache<std::string, std::shared_ptr<AbstractLqpNode>>;
 
 /// Process-wide singleton wiring the DBMS components together (storage
-/// manager, transaction manager, scheduler, plugin manager, plan caches).
+/// manager, transaction manager, scheduler, plugin manager, plan cache).
 /// Reset() restores a pristine instance — used between tests and benchmark
 /// configurations, reflecting the paper's goal of selectively enabling or
 /// disabling components (§2).
@@ -77,10 +75,9 @@ class Hyrise {
   /// the log left by the previous incarnation).
   std::unique_ptr<persistence::WalManager> wal_manager;
 
-  /// Query plan caches (paper §2.6). Null = caching disabled (the default for
-  /// tests; the benchmark runner enables them).
+  /// Query plan cache (paper §2.6). Null = caching disabled (the default for
+  /// tests; the benchmark runner enables it).
   std::shared_ptr<PqpCache> default_pqp_cache;
-  std::shared_ptr<LqpCache> default_lqp_cache;
 
   /// Materialized-intermediate cache (DESIGN.md §5f). Null = reuse disabled
   /// (the default); SqlPipeline threads it through the operator tree when

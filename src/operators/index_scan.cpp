@@ -4,7 +4,7 @@
 
 #include "hyrise.hpp"
 #include "operators/pos_list_utils.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "operators/table_scan.hpp"
 #include "storage/table.hpp"
 #include "utils/assert.hpp"
 
@@ -27,101 +27,67 @@ std::string IndexScan::Description() const {
          VariantToString(value_);
 }
 
-void IndexScan::QueryIndex(const AbstractChunkIndex& index, std::vector<ChunkOffset>& matches) const {
-  switch (condition_) {
+namespace {
+
+/// Asks a chunk index for the rows of a typed predicate; the index receives
+/// values of exactly its column type.
+template <typename T>
+void QueryIndex(const AbstractChunkIndex& index, const TypedPredicate<T>& predicate,
+                std::vector<ChunkOffset>& matches) {
+  const auto value = std::optional<AllTypeVariant>{predicate.value};
+  switch (predicate.condition) {
     case PredicateCondition::kEquals:
-      index.Equals(value_, matches);
+      index.Equals(*value, matches);
       return;
     case PredicateCondition::kLessThan:
-      index.Range(std::nullopt, true, value_, false, matches);
-      return;
     case PredicateCondition::kLessThanEquals:
-      index.Range(std::nullopt, true, value_, true, matches);
+      index.Range(std::nullopt, true, value, predicate.condition == PredicateCondition::kLessThanEquals, matches);
       return;
     case PredicateCondition::kGreaterThan:
-      index.Range(value_, false, std::nullopt, true, matches);
-      return;
     case PredicateCondition::kGreaterThanEquals:
-      index.Range(value_, true, std::nullopt, true, matches);
+      index.Range(value, predicate.condition == PredicateCondition::kGreaterThanEquals, std::nullopt, true, matches);
       return;
     case PredicateCondition::kBetweenInclusive:
-      Assert(value2_.has_value(), "BETWEEN requires a second value");
-      index.Range(value_, true, *value2_, true, matches);
+      index.Range(value, true, AllTypeVariant{*predicate.value2}, true, matches);
       return;
     default:
       Fail("IndexScan does not support this condition");
   }
 }
 
+}  // namespace
+
 std::shared_ptr<const Table> IndexScan::OnExecute(const std::shared_ptr<TransactionContext>& /*context*/) {
   const auto table = Hyrise::Get().storage_manager.GetTable(table_name_);
   const auto output = MakeReferenceTable(table);
 
-  const auto chunk_count = table->chunk_count();
-  auto pruned_iter = pruned_chunk_ids_.begin();
-  for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
-    if (pruned_iter != pruned_chunk_ids_.end() && *pruned_iter == chunk_id) {
-      ++pruned_iter;
-      continue;
-    }
-    const auto chunk = table->GetChunk(chunk_id);
-    auto matches = std::vector<ChunkOffset>{};
+  ResolveDataType(table->column_data_type(column_id_), [&](auto type_tag) {
+    using T = decltype(type_tag);
+    const auto predicate = TypePredicateLiteral<T>(condition_, value_, value2_);
+    // Indexes answer equality and ranges; TableScan's kernel answers the rest
+    // (`<>`, constant outcomes, type mismatches).
+    const auto use_indexes =
+        predicate.outcome == LiteralOutcome::kTyped && predicate.condition != PredicateCondition::kNotEquals;
 
-    const auto indexes = chunk->GetIndexes({column_id_});
-    if (!indexes.empty()) {
-      QueryIndex(*indexes.front(), matches);
-      std::sort(matches.begin(), matches.end());
-    } else {
-      // Fallback: plain scan of this chunk with identical semantics.
-      const auto segment = chunk->GetSegment(column_id_);
-      ResolveDataType(segment->data_type(), [&](auto type_tag) {
-        using T = decltype(type_tag);
-        if ((DataTypeOfVariant(value_) == DataType::kString) != std::is_same_v<T, std::string>) {
-          Fail("IndexScan value type mismatch");
-        }
-        const auto typed_value = VariantCast<T>(value_);
-        auto typed_value2 = std::optional<T>{};
-        if (value2_.has_value()) {
-          typed_value2 = VariantCast<T>(*value2_);
-        }
-        SegmentIterate<T>(*segment, [&](const auto& position) {
-          if (position.is_null()) {
-            return;
-          }
-          auto match = false;
-          switch (condition_) {
-            case PredicateCondition::kEquals:
-              match = position.value() == typed_value;
-              break;
-            case PredicateCondition::kLessThan:
-              match = position.value() < typed_value;
-              break;
-            case PredicateCondition::kLessThanEquals:
-              match = position.value() <= typed_value;
-              break;
-            case PredicateCondition::kGreaterThan:
-              match = position.value() > typed_value;
-              break;
-            case PredicateCondition::kGreaterThanEquals:
-              match = position.value() >= typed_value;
-              break;
-            case PredicateCondition::kBetweenInclusive:
-              match = position.value() >= typed_value && position.value() <= *typed_value2;
-              break;
-            default:
-              Fail("IndexScan does not support this condition");
-          }
-          if (match) {
-            matches.push_back(position.chunk_offset());
-          }
-        });
-      });
+    const auto chunk_count = table->chunk_count();
+    for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
+      if (std::binary_search(pruned_chunk_ids_.begin(), pruned_chunk_ids_.end(), chunk_id)) {
+        continue;
+      }
+      const auto chunk = table->GetChunk(chunk_id);
+      auto matches = std::vector<ChunkOffset>{};
+      const auto indexes = chunk->GetIndexes({column_id_});
+      if (use_indexes && !indexes.empty()) {
+        QueryIndex<T>(*indexes.front(), predicate, matches);
+        std::sort(matches.begin(), matches.end());
+      } else {
+        ScanSegmentForLiteral<T>(*chunk->GetSegment(column_id_), predicate, matches);
+      }
+      if (!matches.empty()) {
+        output->AppendChunk(ComposeFilteredSegments(table, chunk_id, matches));
+      }
     }
-
-    if (!matches.empty()) {
-      output->AppendChunk(ComposeFilteredSegments(table, chunk_id, matches));
-    }
-  }
+  });
   return output;
 }
 

@@ -13,9 +13,8 @@ namespace hyrise {
 
 /// Scans a stored table through its per-chunk secondary indexes (paper §2.4:
 /// "indexes yield qualifying positions for one or more predicates"). Chunks
-/// without a matching index fall back to a full segment scan with the same
-/// predicate semantics. Supports equality and range conditions against a
-/// literal.
+/// without a matching index run TableScan's kernel for the same typed
+/// predicate. Supports equality and range conditions against a literal.
 class IndexScan final : public AbstractOperator {
  public:
   IndexScan(std::string table_name, std::vector<ChunkID> pruned_chunk_ids, ColumnID column_id,
@@ -62,8 +61,6 @@ class IndexScan final : public AbstractOperator {
   }
 
  private:
-  void QueryIndex(const AbstractChunkIndex& index, std::vector<ChunkOffset>& matches) const;
-
   std::string table_name_;
   std::vector<ChunkID> pruned_chunk_ids_;
   ColumnID column_id_;

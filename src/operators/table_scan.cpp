@@ -1,5 +1,7 @@
 #include "operators/table_scan.hpp"
 
+#include <stdexcept>
+
 #include "expression/expression_evaluator.hpp"
 #include "expression/expression_utils.hpp"
 #include "expression/like_matcher.hpp"
@@ -76,8 +78,7 @@ void IterateAs(const AbstractSegment& segment, const Functor& functor) {
 
 /// The recognized fast-path predicate shapes.
 enum class ScanKind {
-  kColumnVsValue,
-  kColumnBetween,
+  kColumnVsValue,  // Includes BETWEEN two values.
   kColumnIsNull,
   kColumnLike,
   kColumnVsColumn,
@@ -90,7 +91,7 @@ struct ScanSpec {
   ColumnID column_id{kInvalidColumnId};
   ColumnID column2_id{kInvalidColumnId};
   AllTypeVariant value;
-  AllTypeVariant value2;
+  std::optional<AllTypeVariant> value2;
 };
 
 ScanSpec ClassifyPredicate(const AbstractExpression& predicate) {
@@ -140,7 +141,7 @@ ScanSpec ClassifyPredicate(const AbstractExpression& predicate) {
     }
     case PredicateCondition::kBetweenInclusive:
       if (is_column(arguments[0]) && is_value(arguments[1]) && is_value(arguments[2])) {
-        spec.kind = ScanKind::kColumnBetween;
+        spec.kind = ScanKind::kColumnVsValue;
         spec.condition = typed.condition;
         spec.column_id = column_id_of(arguments[0]);
         spec.value = value_of(arguments[1]);
@@ -247,28 +248,23 @@ bool ScanDictionarySegment(const AbstractSegment& segment, PredicateCondition co
 
 /// LIKE fast path on dictionary segments: match every dictionary entry once,
 /// then scan codes block-wise against the match bitmap.
-template <typename T>
 bool ScanDictionaryLike(const AbstractSegment& segment, const LikeMatcher& matcher, bool invert,
                         std::vector<ChunkOffset>& matches) {
-  if constexpr (!std::is_same_v<T, std::string>) {
+  const auto* dictionary_segment = dynamic_cast<const DictionarySegment<std::string>*>(&segment);
+  if (!dictionary_segment) {
     return false;
-  } else {
-    const auto* dictionary_segment = dynamic_cast<const DictionarySegment<std::string>*>(&segment);
-    if (!dictionary_segment) {
-      return false;
-    }
-    const auto& dictionary = dictionary_segment->dictionary();
-    auto code_matches = std::vector<uint8_t>(dictionary.size() + 1, 0);  // +1: null id never matches.
-    for (auto value_id = size_t{0}; value_id < dictionary.size(); ++value_id) {
-      code_matches[value_id] = matcher.Matches(dictionary[value_id]) != invert ? 1 : 0;
-    }
-    ResolveCompressedVector(dictionary_segment->attribute_vector(), [&](const auto& vector) {
-      ScanCodes(vector, [lookup = code_matches.data()](uint32_t code) {
-        return lookup[code] != 0;
-      }, matches);
-    });
-    return true;
   }
+  const auto& dictionary = dictionary_segment->dictionary();
+  auto code_matches = std::vector<uint8_t>(dictionary.size() + 1, 0);  // +1: null id never matches.
+  for (auto value_id = size_t{0}; value_id < dictionary.size(); ++value_id) {
+    code_matches[value_id] = matcher.Matches(dictionary[value_id]) != invert ? 1 : 0;
+  }
+  ResolveCompressedVector(dictionary_segment->attribute_vector(), [&](const auto& vector) {
+    ScanCodes(vector, [lookup = code_matches.data()](uint32_t code) {
+      return lookup[code] != 0;
+    }, matches);
+  });
+  return true;
 }
 
 /// Resolves (condition, value, value2) to a branch-free single-value
@@ -291,49 +287,11 @@ void WithValuePredicate(PredicateCondition condition, const T& value, const std:
   });
 }
 
-/// Exact-type fast paths over the physically stored data: dictionary codes,
-/// raw value arrays, frame-of-reference offsets, and runs. Returns false for
-/// segment kinds without a kernel (reference segments); the caller falls
-/// back to the generic iterator scan.
+/// IS [NOT] NULL: null flags are scanned directly (bytes, run flags, or the
+/// null value id) without touching the values at all; reference segments
+/// take the generic iterator scan.
 template <typename T>
-bool ScanSegmentBlockwise(const AbstractSegment& segment, PredicateCondition condition, const T& value,
-                          const std::optional<T>& value2, std::vector<ChunkOffset>& matches) {
-  if (ScanDictionarySegment<T>(segment, condition, value, value2, matches)) {
-    return true;
-  }
-  if (const auto* run_length_segment = dynamic_cast<const RunLengthSegment<T>*>(&segment)) {
-    WithValuePredicate<T>(condition, value, value2, [&](const auto& predicate) {
-      ScanRunLengthSegment(*run_length_segment, predicate, matches);
-    });
-    return true;
-  }
-  if constexpr (std::is_arithmetic_v<T>) {
-    if (const auto* value_segment = dynamic_cast<const ValueSegment<T>*>(&segment)) {
-      const auto size = static_cast<size_t>(value_segment->size());  // Published row count of mutable chunks.
-      const auto* nulls = value_segment->is_nullable() ? value_segment->null_values().data() : nullptr;
-      WithValuePredicate<T>(condition, value, value2, [&](const auto& predicate) {
-        ScanDenseValues(value_segment->values().data(), nulls, size, predicate, matches);
-      });
-      return true;
-    }
-  }
-  if constexpr (std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>) {
-    if (const auto* for_segment = dynamic_cast<const FrameOfReferenceSegment<T>*>(&segment)) {
-      ResolveCompressedVector(for_segment->offset_values(), [&](const auto& vector) {
-        WithValuePredicate<T>(condition, value, value2, [&](const auto& predicate) {
-          ScanFrameOfReferenceSegment(*for_segment, vector, predicate, matches);
-        });
-      });
-      return true;
-    }
-  }
-  return false;
-}
-
-/// IS [NOT] NULL fast paths: null flags are scanned directly (bytes, run
-/// flags, or the null value id) without touching the values at all.
-template <typename T>
-bool ScanIsNullBlockwise(const AbstractSegment& segment, bool want_null, std::vector<ChunkOffset>& matches) {
+void ScanNulls(const AbstractSegment& segment, bool want_null, std::vector<ChunkOffset>& matches) {
   const auto emit_all = [&](size_t size) {
     for (auto offset = size_t{0}; offset < size; ++offset) {
       matches.push_back(static_cast<ChunkOffset>(offset));
@@ -345,12 +303,12 @@ bool ScanIsNullBlockwise(const AbstractSegment& segment, bool want_null, std::ve
       if (!want_null) {
         emit_all(size);
       }
-      return true;
+      return;
     }
     ScanDenseValues(value_segment->null_values().data(), nullptr, size, [=](uint8_t is_null) {
       return (is_null != 0) == want_null;
     }, matches);
-    return true;
+    return;
   }
   if (const auto* dictionary_segment = dynamic_cast<const DictionarySegment<T>*>(&segment)) {
     const auto null_id = dictionary_segment->null_value_id();
@@ -359,7 +317,7 @@ bool ScanIsNullBlockwise(const AbstractSegment& segment, bool want_null, std::ve
         return (code == null_id) == want_null;
       }, matches);
     });
-    return true;
+    return;
   }
   if (const auto* run_length_segment = dynamic_cast<const RunLengthSegment<T>*>(&segment)) {
     const auto& run_is_null = run_length_segment->run_is_null();
@@ -374,7 +332,7 @@ bool ScanIsNullBlockwise(const AbstractSegment& segment, bool want_null, std::ve
       }
       start = end + 1;
     }
-    return true;
+    return;
   }
   if constexpr (std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>) {
     if (const auto* for_segment = dynamic_cast<const FrameOfReferenceSegment<T>*>(&segment)) {
@@ -384,7 +342,7 @@ bool ScanIsNullBlockwise(const AbstractSegment& segment, bool want_null, std::ve
         if (!want_null) {
           emit_all(size);
         }
-        return true;
+        return;
       }
       constexpr auto kBlock = BaseCompressedVector::kDecodeBlockSize;
       for (auto base = size_t{0}; base < size; base += kBlock) {
@@ -395,10 +353,19 @@ bool ScanIsNullBlockwise(const AbstractSegment& segment, bool want_null, std::ve
         }
         EmitBlockMask(mask, base, matches);
       }
-      return true;
+      return;
     }
   }
-  return false;
+  SegmentIterate<T>(segment, [&](const auto& position) {
+    if (position.is_null() == want_null) {
+      matches.push_back(position.chunk_offset());
+    }
+  });
+}
+
+[[noreturn]] void ThrowTypeMismatch(DataType column_type) {
+  throw std::invalid_argument{std::string{"Cannot compare a column of type "} + DataTypeToString(column_type) +
+                              " with a " + (column_type == DataType::kString ? "number" : "string")};
 }
 
 /// Uncorrelated subqueries share one PQP that the ExpressionEvaluator
@@ -423,6 +390,71 @@ void PreExecuteUncorrelatedSubqueries(const ExpressionPtr& expression,
 
 }  // namespace
 
+template <typename T>
+void ScanSegmentForLiteral(const AbstractSegment& segment, const TypedPredicate<T>& predicate,
+                           std::vector<ChunkOffset>& matches) {
+  switch (predicate.outcome) {
+    case LiteralOutcome::kTypeMismatch:
+      ThrowTypeMismatch(DataTypeOf<T>());
+    case LiteralOutcome::kNoRow:
+      return;
+    case LiteralOutcome::kEveryNonNullRow:
+      ScanNulls<T>(segment, false, matches);
+      return;
+    case LiteralOutcome::kTyped:
+      break;
+  }
+  // Block-wise kernels over the stored codes, runs, values, or offsets
+  // (DESIGN.md §5d).
+  const auto condition = predicate.condition;
+  const auto& value = predicate.value;
+  const auto& value2 = predicate.value2;
+  if (ScanDictionarySegment<T>(segment, condition, value, value2, matches)) {
+    return;
+  }
+  if (const auto* run_length_segment = dynamic_cast<const RunLengthSegment<T>*>(&segment)) {
+    WithValuePredicate<T>(condition, value, value2, [&](const auto& matches_value) {
+      ScanRunLengthSegment(*run_length_segment, matches_value, matches);
+    });
+    return;
+  }
+  if constexpr (std::is_arithmetic_v<T>) {
+    if (const auto* value_segment = dynamic_cast<const ValueSegment<T>*>(&segment)) {
+      const auto size = static_cast<size_t>(value_segment->size());  // Published row count of mutable chunks.
+      const auto* nulls = value_segment->is_nullable() ? value_segment->null_values().data() : nullptr;
+      WithValuePredicate<T>(condition, value, value2, [&](const auto& matches_value) {
+        ScanDenseValues(value_segment->values().data(), nulls, size, matches_value, matches);
+      });
+      return;
+    }
+  }
+  if constexpr (std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>) {
+    if (const auto* for_segment = dynamic_cast<const FrameOfReferenceSegment<T>*>(&segment)) {
+      ResolveCompressedVector(for_segment->offset_values(), [&](const auto& vector) {
+        WithValuePredicate<T>(condition, value, value2, [&](const auto& matches_value) {
+          ScanFrameOfReferenceSegment(*for_segment, vector, matches_value, matches);
+        });
+      });
+      return;
+    }
+  }
+  // Reference segments: the generic iterator scan.
+  WithValuePredicate<T>(condition, value, value2, [&](const auto& matches_value) {
+    SegmentIterate<T>(segment, [&](const auto& position) {
+      if (!position.is_null() && matches_value(position.value())) {
+        matches.push_back(position.chunk_offset());
+      }
+    });
+  });
+}
+
+template void ScanSegmentForLiteral(const AbstractSegment&, const TypedPredicate<int32_t>&, std::vector<ChunkOffset>&);
+template void ScanSegmentForLiteral(const AbstractSegment&, const TypedPredicate<int64_t>&, std::vector<ChunkOffset>&);
+template void ScanSegmentForLiteral(const AbstractSegment&, const TypedPredicate<float>&, std::vector<ChunkOffset>&);
+template void ScanSegmentForLiteral(const AbstractSegment&, const TypedPredicate<double>&, std::vector<ChunkOffset>&);
+template void ScanSegmentForLiteral(const AbstractSegment&, const TypedPredicate<std::string>&,
+                                    std::vector<ChunkOffset>&);
+
 TableScan::TableScan(std::shared_ptr<AbstractOperator> input, ExpressionPtr predicate)
     : AbstractOperator(OperatorType::kTableScan, std::move(input)), predicate_(std::move(predicate)) {}
 
@@ -441,83 +473,29 @@ std::vector<ChunkOffset> TableScan::ScanChunk(const std::shared_ptr<const Table>
   const auto spec = ClassifyPredicate(*predicate_);
 
   switch (spec.kind) {
-    case ScanKind::kColumnVsValue:
-    case ScanKind::kColumnBetween: {
-      if (VariantIsNull(spec.value) || (spec.kind == ScanKind::kColumnBetween && VariantIsNull(spec.value2))) {
-        return matches;  // Comparison with NULL matches nothing.
-      }
+    case ScanKind::kColumnVsValue: {
       const auto segment = chunk->GetSegment(spec.column_id);
-      const auto column_type = segment->data_type();
-      const auto value_type = DataTypeOfVariant(spec.value);
-      Assert((column_type == DataType::kString) == (value_type == DataType::kString),
-             "Cannot compare string column against numeric value");
-
-      // Exact-type fast paths: block-wise kernels over the stored codes,
-      // values, offsets, or runs (DESIGN.md §5d).
-      if (column_type == value_type &&
-          (spec.kind != ScanKind::kColumnBetween || DataTypeOfVariant(spec.value2) == column_type)) {
-        auto handled = false;
-        ResolveDataType(column_type, [&](auto type_tag) {
-          using T = decltype(type_tag);
-          auto value2 = std::optional<T>{};
-          if (spec.kind == ScanKind::kColumnBetween) {
-            value2 = std::get<T>(spec.value2);
-          }
-          handled = ScanSegmentBlockwise<T>(*segment, spec.condition, std::get<T>(spec.value), value2, matches);
-        });
-        if (handled) {
-          return matches;
-        }
-      }
-
-      // Generic iterator scan in the promoted comparison type.
-      const auto compare_type = PromoteDataTypes(column_type, value_type);
-      ResolveDataType(compare_type, [&](auto type_tag) {
-        using C = decltype(type_tag);
-        const auto typed_value = VariantCast<C>(spec.value);
-        if (spec.kind == ScanKind::kColumnBetween) {
-          const auto typed_value2 = VariantCast<C>(spec.value2);
-          IterateAs<C>(*segment, [&](const auto& position) {
-            if (!position.is_null() && position.value() >= typed_value && position.value() <= typed_value2) {
-              matches.push_back(position.chunk_offset());
-            }
-          });
-          return;
-        }
-        WithComparator(spec.condition, [&](const auto comparator) {
-          IterateAs<C>(*segment, [&](const auto& position) {
-            if (!position.is_null() && comparator(position.value(), typed_value)) {
-              matches.push_back(position.chunk_offset());
-            }
-          });
-        });
+      ResolveDataType(segment->data_type(), [&](auto type_tag) {
+        using T = decltype(type_tag);
+        ScanSegmentForLiteral<T>(*segment, TypePredicateLiteral<T>(spec.condition, spec.value, spec.value2), matches);
       });
       return matches;
     }
     case ScanKind::kColumnIsNull: {
-      const auto want_null = spec.condition == PredicateCondition::kIsNull;
       const auto segment = chunk->GetSegment(spec.column_id);
-      auto handled = false;
       ResolveDataType(segment->data_type(), [&](auto type_tag) {
-        using T = decltype(type_tag);
-        handled = ScanIsNullBlockwise<T>(*segment, want_null, matches);
-        if (!handled) {
-          // Reference segments: generic iterator scan.
-          SegmentIterate<T>(*segment, [&](const auto& position) {
-            if (position.is_null() == want_null) {
-              matches.push_back(position.chunk_offset());
-            }
-          });
-        }
+        ScanNulls<decltype(type_tag)>(*segment, spec.condition == PredicateCondition::kIsNull, matches);
       });
       return matches;
     }
     case ScanKind::kColumnLike: {
       const auto segment = chunk->GetSegment(spec.column_id);
-      Assert(segment->data_type() == DataType::kString, "LIKE requires a string column");
+      if (segment->data_type() != DataType::kString || !std::holds_alternative<std::string>(spec.value)) {
+        ThrowTypeMismatch(segment->data_type());
+      }
       const auto matcher = LikeMatcher{std::get<std::string>(spec.value)};
       const auto invert = spec.condition == PredicateCondition::kNotLike;
-      if (ScanDictionaryLike<std::string>(*segment, matcher, invert, matches)) {
+      if (ScanDictionaryLike(*segment, matcher, invert, matches)) {
         return matches;
       }
       SegmentIterate<std::string>(*segment, [&](const auto& position) {

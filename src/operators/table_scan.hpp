@@ -6,12 +6,21 @@
 #include <vector>
 
 #include "expression/expressions.hpp"
+#include "expression/predicate_literal.hpp"
 #include "operators/abstract_operator.hpp"
 
 namespace hyrise {
 
+class AbstractSegment;
 class Chunk;
 class Table;
+
+/// TableScan's kernel for a literal predicate typed by TypePredicateLiteral:
+/// appends the offsets of matching rows of `segment` (a T column). A type
+/// mismatch fails the statement (std::invalid_argument).
+template <typename T>
+void ScanSegmentForLiteral(const AbstractSegment& segment, const TypedPredicate<T>& predicate,
+                           std::vector<ChunkOffset>& matches);
 
 /// Filters rows by a predicate expression. Simple predicate shapes
 /// (column-vs-value, BETWEEN, LIKE, IS NULL, column-vs-column) run as
@@ -34,11 +43,6 @@ class TableScan final : public AbstractOperator {
     return predicate_;
   }
 
-  /// Exposed so IndexScan can reuse the residual evaluation and tests can
-  /// target single chunks.
-  std::vector<ChunkOffset> ScanChunk(const std::shared_ptr<const Table>& table, ChunkID chunk_id,
-                                     const std::shared_ptr<TransactionContext>& context) const;
-
  protected:
   std::shared_ptr<const Table> OnExecute(const std::shared_ptr<TransactionContext>& context) final;
 
@@ -48,6 +52,9 @@ class TableScan final : public AbstractOperator {
                                                std::shared_ptr<AbstractOperator> right, DeepCopyMap& map) const final;
 
  private:
+  std::vector<ChunkOffset> ScanChunk(const std::shared_ptr<const Table>& table, ChunkID chunk_id,
+                                     const std::shared_ptr<TransactionContext>& context) const;
+
   ExpressionPtr predicate_;
 };
 

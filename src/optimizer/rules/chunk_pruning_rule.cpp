@@ -1,5 +1,6 @@
 #include "optimizer/rules/chunk_pruning_rule.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -26,38 +27,23 @@ bool PredicatePrunesChunk(const AbstractExpression& predicate, const StoredTable
   if (!chunk.pruning_statistics() || predicate.type != ExpressionType::kPredicate) {
     return false;
   }
+  // `column <condition> value [value]`; the filters type the values and
+  // decline conditions they cannot use.
   const auto& typed = static_cast<const PredicateExpression&>(predicate);
-  if (typed.arguments.empty() || typed.arguments[0]->type != ExpressionType::kLqpColumn) {
+  const auto& arguments = typed.arguments;
+  if (arguments.size() < 2 || arguments.size() > 3 || arguments[0]->type != ExpressionType::kLqpColumn ||
+      std::any_of(arguments.begin() + 1, arguments.end(),
+                  [](const auto& argument) { return argument->type != ExpressionType::kValue; })) {
     return false;
   }
-  const auto& column = static_cast<const LqpColumnExpression&>(*typed.arguments[0]);
+  const auto& column = static_cast<const LqpColumnExpression&>(*arguments[0]);
   if (column.original_node.lock().get() != &stored) {
     return false;
   }
-  auto value = AllTypeVariant{};
+  const auto& value = static_cast<const ValueExpression&>(*arguments[1]).value;
   auto value2 = std::optional<AllTypeVariant>{};
-  switch (typed.condition) {
-    case PredicateCondition::kEquals:
-    case PredicateCondition::kLessThan:
-    case PredicateCondition::kLessThanEquals:
-    case PredicateCondition::kGreaterThan:
-    case PredicateCondition::kGreaterThanEquals:
-    case PredicateCondition::kLike:
-      if (typed.arguments.size() != 2 || typed.arguments[1]->type != ExpressionType::kValue) {
-        return false;
-      }
-      value = static_cast<const ValueExpression&>(*typed.arguments[1]).value;
-      break;
-    case PredicateCondition::kBetweenInclusive:
-      if (typed.arguments.size() != 3 || typed.arguments[1]->type != ExpressionType::kValue ||
-          typed.arguments[2]->type != ExpressionType::kValue) {
-        return false;
-      }
-      value = static_cast<const ValueExpression&>(*typed.arguments[1]).value;
-      value2 = static_cast<const ValueExpression&>(*typed.arguments[2]).value;
-      break;
-    default:
-      return false;
+  if (arguments.size() == 3) {
+    value2 = static_cast<const ValueExpression&>(*arguments[2]).value;
   }
   const auto& filters = *chunk.pruning_statistics();
   if (column.original_column_id >= filters.size() || !filters[column.original_column_id]) {

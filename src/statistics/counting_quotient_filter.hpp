@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "expression/predicate_literal.hpp"
 #include "statistics/abstract_segment_filter.hpp"
 #include "utils/assert.hpp"
 
@@ -42,7 +43,6 @@ class CountingQuotientFilter final : public AbstractSegmentFilter {
       if ((slot.fingerprint & kOccupiedBit) == 0) {
         slot.fingerprint = fingerprint;
         slot.count = 1;
-        ++size_;
         return;
       }
       if (slot.fingerprint == fingerprint) {
@@ -82,14 +82,9 @@ class CountingQuotientFilter final : public AbstractSegmentFilter {
     if (condition != PredicateCondition::kEquals || VariantIsNull(value)) {
       return false;
     }
-    if ((DataTypeOfVariant(value) == DataType::kString) != (DataTypeOf<T>() == DataType::kString)) {
-      return false;
-    }
-    return !Contains(VariantCast<T>(value));
-  }
-
-  size_t MemoryUsage() const {
-    return slots_.size() * sizeof(Slot);
+    const auto predicate = TypePredicateLiteral<T>(condition, value);
+    return predicate.outcome == LiteralOutcome::kNoRow ||
+           (predicate.outcome == LiteralOutcome::kTyped && !Contains(predicate.value));
   }
 
  private:
@@ -114,7 +109,6 @@ class CountingQuotientFilter final : public AbstractSegmentFilter {
 
   uint64_t remainder_mask_;
   std::vector<Slot> slots_;
-  size_t size_{0};
 };
 
 }  // namespace hyrise

@@ -8,9 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "statistics/abstract_segment_filter.hpp"
 #include "types/all_type_variant.hpp"
-#include "utils/assert.hpp"
+#include "types/types.hpp"
 
 namespace hyrise {
 
@@ -50,10 +49,11 @@ enum class HistogramLayout { kEqualWidth, kEqualHeight, kEqualDistinctCount };
 template <typename T>
 class Histogram {
  public:
+  static constexpr size_t kMaxBinCount = 64;
+
   /// Builds a histogram from (a sample of) the column's non-null values.
   /// `values` is consumed. Returns nullptr for empty input.
-  static std::shared_ptr<const Histogram<T>> FromValues(std::vector<T> values, HistogramLayout layout,
-                                                        size_t max_bin_count = 64);
+  static std::shared_ptr<const Histogram<T>> FromValues(std::vector<T> values, HistogramLayout layout);
 
   /// Rebuilds a histogram from previously built bins (statistics persistence:
   /// the optimizer is warm at the first query after a restart without
@@ -88,12 +88,6 @@ class Histogram {
   double EstimateCardinality(PredicateCondition condition, const T& value,
                              const std::optional<T>& value2 = std::nullopt) const;
 
-  /// True if the estimate is provably zero (usable for pruning).
-  bool DoesNotContain(PredicateCondition condition, const T& value,
-                      const std::optional<T>& value2 = std::nullopt) const {
-    return EstimateCardinality(condition, value, value2) == 0.0;
-  }
-
  private:
   double EstimateLessThan(const T& value, bool inclusive) const;
 
@@ -102,48 +96,10 @@ class Histogram {
   double total_distinct_count_{0};
 };
 
-/// Adapter using a histogram as a pruning filter (the paper's
-/// "pruning-optimized histograms", comparable to adaptive range filters).
-template <typename T>
-class HistogramSegmentFilter final : public AbstractSegmentFilter {
- public:
-  explicit HistogramSegmentFilter(std::shared_ptr<const Histogram<T>> histogram) : histogram_(std::move(histogram)) {}
-
-  bool CanPrune(PredicateCondition condition, const AllTypeVariant& value,
-                const std::optional<AllTypeVariant>& value2 = std::nullopt) const final {
-    if (!histogram_ || VariantIsNull(value)) {
-      return false;
-    }
-    if ((DataTypeOfVariant(value) == DataType::kString) != (DataTypeOf<T>() == DataType::kString)) {
-      return false;
-    }
-    switch (condition) {
-      case PredicateCondition::kEquals:
-      case PredicateCondition::kLessThan:
-      case PredicateCondition::kLessThanEquals:
-      case PredicateCondition::kGreaterThan:
-      case PredicateCondition::kGreaterThanEquals:
-        return histogram_->DoesNotContain(condition, VariantCast<T>(value));
-      case PredicateCondition::kBetweenInclusive: {
-        if (!value2.has_value() || VariantIsNull(*value2)) {
-          return false;
-        }
-        return histogram_->DoesNotContain(condition, VariantCast<T>(value), VariantCast<T>(*value2));
-      }
-      default:
-        return false;
-    }
-  }
-
- private:
-  std::shared_ptr<const Histogram<T>> histogram_;
-};
-
 // --- Implementation ---------------------------------------------------------
 
 template <typename T>
-std::shared_ptr<const Histogram<T>> Histogram<T>::FromValues(std::vector<T> values, HistogramLayout layout,
-                                                             size_t max_bin_count) {
+std::shared_ptr<const Histogram<T>> Histogram<T>::FromValues(std::vector<T> values, HistogramLayout layout) {
   if (values.empty()) {
     return nullptr;
   }
@@ -161,7 +117,7 @@ std::shared_ptr<const Histogram<T>> Histogram<T>::FromValues(std::vector<T> valu
 
   auto histogram = std::make_shared<Histogram<T>>();
   const auto distinct_count = distinct_values.size();
-  const auto bin_count = std::min(max_bin_count, distinct_count);
+  const auto bin_count = std::min(kMaxBinCount, distinct_count);
 
   const auto append_bin = [&](size_t first, size_t last /*inclusive*/) {
     auto bin = HistogramBin<T>{};
@@ -237,16 +193,16 @@ double Histogram<T>::EstimateLessThan(const T& value, bool inclusive) const {
     if (bin.min > value || (!inclusive && bin.min == value)) {
       break;
     }
-    // Partially covered bin: interpolate within the domain.
+    // Partially covered bin: interpolate within the domain. `bin.max` lies
+    // above `value` (or is excluded), so at least its own share of the bin
+    // stays above.
     const auto bin_min = HistogramDomainValue(bin.min);
     const auto bin_max = HistogramDomainValue(bin.max);
     const auto domain_value = HistogramDomainValue(value);
     auto ratio = bin_max > bin_min ? (domain_value - bin_min) / (bin_max - bin_min) : 1.0;
     ratio = std::clamp(ratio, 0.0, 1.0);
-    cardinality += bin.height * ratio;
-    if (inclusive) {
-      cardinality += bin.height / std::max(1.0, bin.distinct_count);
-    }
+    const auto per_value = bin.height / std::max(1.0, bin.distinct_count);
+    cardinality += std::min(bin.height * ratio + (inclusive ? per_value : 0.0), bin.height - per_value);
     break;
   }
   return std::min(cardinality, total_count_);
@@ -274,23 +230,8 @@ double Histogram<T>::EstimateCardinality(PredicateCondition condition, const T& 
       return total_count_ - EstimateLessThan(value, true);
     case PredicateCondition::kGreaterThanEquals:
       return total_count_ - EstimateLessThan(value, false);
-    case PredicateCondition::kBetweenInclusive: {
-      if (!value2.has_value()) {
-        return total_count_;
-      }
-      return std::max(0.0, EstimateLessThan(*value2, true) - EstimateLessThan(value, false));
-    }
-    case PredicateCondition::kLike:
-    case PredicateCondition::kNotLike: {
-      if constexpr (std::is_same_v<T, std::string>) {
-        // Heuristic from the literature: fixed selectivity per wildcard-free
-        // pattern section.
-        const auto like_selectivity = 0.1;
-        const auto estimate = total_count_ * like_selectivity;
-        return condition == PredicateCondition::kLike ? estimate : total_count_ - estimate;
-      }
-      return total_count_ * 0.5;
-    }
+    case PredicateCondition::kBetweenInclusive:
+      return std::max(0.0, EstimateLessThan(value2.value(), true) - EstimateLessThan(value, false));
     default:
       return total_count_ * 0.5;
   }

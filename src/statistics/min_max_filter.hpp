@@ -2,9 +2,10 @@
 #define HYRISE_SRC_STATISTICS_MIN_MAX_FILTER_HPP_
 
 #include <optional>
+#include <string>
 
+#include "expression/predicate_literal.hpp"
 #include "statistics/abstract_segment_filter.hpp"
-#include "utils/assert.hpp"
 
 namespace hyrise {
 
@@ -16,26 +17,41 @@ class MinMaxFilter final : public AbstractSegmentFilter {
  public:
   MinMaxFilter(T min, T max) : min_(std::move(min)), max_(std::move(max)) {}
 
-  const T& min() const {
-    return min_;
-  }
-
-  const T& max() const {
-    return max_;
-  }
-
   bool CanPrune(PredicateCondition condition, const AllTypeVariant& value,
                 const std::optional<AllTypeVariant>& value2 = std::nullopt) const final {
     if (VariantIsNull(value)) {
       return false;
     }
-    // A predicate comparing a string column against a number (or vice versa)
-    // never reaches here — the translator rejects it — but be conservative.
-    if ((DataTypeOfVariant(value) == DataType::kString) != (DataTypeOf<T>() == DataType::kString)) {
-      return false;
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (condition == PredicateCondition::kLike && std::holds_alternative<std::string>(value)) {
+        // LIKE 'literalprefix%...' excludes segments whose range does not
+        // intersect the prefix range.
+        auto prefix = std::string{};
+        for (const auto character : std::get<std::string>(value)) {
+          if (character == '%' || character == '_') {
+            break;
+          }
+          prefix.push_back(character);
+        }
+        if (prefix.empty()) {
+          return false;
+        }
+        if (max_ < prefix) {
+          return true;
+        }
+        // Smallest string greater than every prefix-extension.
+        auto upper = prefix;
+        upper.back() = static_cast<char>(static_cast<unsigned char>(upper.back()) + 1);
+        return min_ >= upper;
+      }
     }
-    const auto typed_value = VariantCast<T>(value);
-    switch (condition) {
+    // A type mismatch is the scan's error to report, not the filter's.
+    const auto predicate = TypePredicateLiteral<T>(condition, value, value2);
+    if (predicate.outcome != LiteralOutcome::kTyped) {
+      return predicate.outcome == LiteralOutcome::kNoRow;
+    }
+    const auto& typed_value = predicate.value;
+    switch (predicate.condition) {
       case PredicateCondition::kEquals:
         return typed_value < min_ || typed_value > max_;
       case PredicateCondition::kLessThan:
@@ -46,38 +62,8 @@ class MinMaxFilter final : public AbstractSegmentFilter {
         return max_ <= typed_value;
       case PredicateCondition::kGreaterThanEquals:
         return max_ < typed_value;
-      case PredicateCondition::kBetweenInclusive: {
-        if (!value2.has_value() || VariantIsNull(*value2)) {
-          return false;
-        }
-        const auto typed_value2 = VariantCast<T>(*value2);
-        return typed_value > max_ || typed_value2 < min_;
-      }
-      case PredicateCondition::kLike: {
-        if constexpr (std::is_same_v<T, std::string>) {
-          // LIKE 'literalprefix%...' excludes segments whose range does not
-          // intersect the prefix range.
-          const auto& pattern = std::get<std::string>(value);
-          auto prefix = std::string{};
-          for (const auto character : pattern) {
-            if (character == '%' || character == '_') {
-              break;
-            }
-            prefix.push_back(character);
-          }
-          if (prefix.empty()) {
-            return false;
-          }
-          if (max_ < prefix) {
-            return true;
-          }
-          // Smallest string greater than every prefix-extension.
-          auto upper = prefix;
-          upper.back() = static_cast<char>(static_cast<unsigned char>(upper.back()) + 1);
-          return min_ >= upper;
-        }
-        return false;
-      }
+      case PredicateCondition::kBetweenInclusive:
+        return typed_value > max_ || *predicate.value2 < min_;
       default:
         return false;
     }

@@ -102,13 +102,9 @@ void GenerateChunkPruningStatistics(const std::shared_ptr<Table>& table) {
           return;
         }
 
-        auto filters = std::vector<std::shared_ptr<const AbstractSegmentFilter>>{};
         const auto [min_iter, max_iter] = std::minmax_element(values.begin(), values.end());
-        filters.push_back(std::make_shared<MinMaxFilter<T>>(*min_iter, *max_iter));
-
-        auto histogram_values = values;
-        filters.push_back(std::make_shared<HistogramSegmentFilter<T>>(
-            Histogram<T>::FromValues(std::move(histogram_values), HistogramLayout::kEqualDistinctCount, 16)));
+        auto filters = std::vector<std::shared_ptr<const AbstractSegmentFilter>>{
+            std::make_shared<MinMaxFilter<T>>(*min_iter, *max_iter)};
 
         // A membership filter pays off when equality probes can miss; size it
         // on the value count, skip very wide chunks to bound memory.

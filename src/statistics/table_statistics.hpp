@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "expression/predicate_literal.hpp"
 #include "statistics/histogram.hpp"
 #include "types/all_type_variant.hpp"
 
@@ -15,7 +16,8 @@ class BaseAttributeStatistics {
   explicit BaseAttributeStatistics(DataType init_data_type) : data_type(init_data_type) {}
   virtual ~BaseAttributeStatistics() = default;
 
-  /// Estimated selectivity of `column <condition> value` in [0, 1].
+  /// Estimated selectivity of the comparison `column <condition> value` in
+  /// [0, 1] (IS NULL is `null_ratio`).
   virtual double EstimateSelectivity(PredicateCondition condition, const AllTypeVariant& value,
                                      const std::optional<AllTypeVariant>& value2 = std::nullopt) const = 0;
 
@@ -32,23 +34,16 @@ class AttributeStatistics final : public BaseAttributeStatistics {
 
   double EstimateSelectivity(PredicateCondition condition, const AllTypeVariant& value,
                              const std::optional<AllTypeVariant>& value2 = std::nullopt) const final {
-    if (condition == PredicateCondition::kIsNull) {
-      return null_ratio;
-    }
-    if (condition == PredicateCondition::kIsNotNull) {
-      return 1.0 - null_ratio;
-    }
     if (!histogram || histogram->total_count() == 0.0 || VariantIsNull(value)) {
       return 0.5;
     }
-    if ((DataTypeOfVariant(value) == DataType::kString) != (DataTypeOf<T>() == DataType::kString)) {
-      return 0.5;
+    const auto predicate = TypePredicateLiteral<T>(condition, value, value2);
+    if (predicate.outcome != LiteralOutcome::kTyped) {
+      return predicate.outcome == LiteralOutcome::kNoRow            ? 0.0
+             : predicate.outcome == LiteralOutcome::kEveryNonNullRow ? 1.0 - null_ratio
+                                                                     : 0.5;  // A type mismatch.
     }
-    auto typed_value2 = std::optional<T>{};
-    if (value2.has_value() && !VariantIsNull(*value2)) {
-      typed_value2 = VariantCast<T>(*value2);
-    }
-    const auto cardinality = histogram->EstimateCardinality(condition, VariantCast<T>(value), typed_value2);
+    const auto cardinality = histogram->EstimateCardinality(predicate.condition, predicate.value, predicate.value2);
     return (1.0 - null_ratio) * cardinality / histogram->total_count();
   }
 
@@ -80,9 +75,8 @@ std::shared_ptr<TableStatistics> GenerateTableStatistics(const Table& table,
                                                          HistogramLayout layout = HistogramLayout::kEqualDistinctCount,
                                                          size_t max_sample_size = 500'000);
 
-/// Builds per-chunk pruning filters (min-max + histogram + counting quotient
-/// filter for low-cardinality columns) for all immutable chunks that do not
-/// have them yet.
+/// Builds per-chunk pruning filters (min-max for ranges, counting quotient
+/// filter for equality) for all immutable chunks that do not have them yet.
 void GenerateChunkPruningStatistics(const std::shared_ptr<Table>& table);
 
 }  // namespace hyrise

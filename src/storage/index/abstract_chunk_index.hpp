@@ -36,6 +36,8 @@ class AbstractChunkIndex {
   }
 
   /// Appends the chunk offsets of all rows equal to `value` to `result`.
+  /// Values are NULL or exactly of the indexed column's type: callers type a
+  /// predicate literal with TypePredicateLiteral first.
   virtual void Equals(const AllTypeVariant& value, std::vector<ChunkOffset>& result) const = 0;
 
   /// Appends the offsets of all rows within the (optional) bounds.

@@ -64,7 +64,7 @@ class ArtChunkIndex final : public AbstractChunkIndex {
     if (VariantIsNull(value)) {
       return;
     }
-    const auto* postings = tree_.Lookup(EncodeArtKey(VariantCast<T>(value)));
+    const auto* postings = tree_.Lookup(EncodeArtKey(std::get<T>(value)));
     if (postings) {
       result.insert(result.end(), postings->begin(), postings->end());
     }
@@ -76,10 +76,10 @@ class ArtChunkIndex final : public AbstractChunkIndex {
     auto lower_key = std::optional<ArtTree::Key>{};
     auto upper_key = std::optional<ArtTree::Key>{};
     if (lower.has_value() && !VariantIsNull(*lower)) {
-      lower_key = EncodeArtKey(VariantCast<T>(*lower));
+      lower_key = EncodeArtKey(std::get<T>(*lower));
     }
     if (upper.has_value() && !VariantIsNull(*upper)) {
-      upper_key = EncodeArtKey(VariantCast<T>(*upper));
+      upper_key = EncodeArtKey(std::get<T>(*upper));
     }
     tree_.Range(lower_key ? &*lower_key : nullptr, lower_inclusive, upper_key ? &*upper_key : nullptr,
                 upper_inclusive, result);

@@ -40,7 +40,7 @@ class BTreeIndex final : public AbstractChunkIndex {
     if (VariantIsNull(value) || leaves_.empty()) {
       return;
     }
-    const auto typed = VariantCast<T>(value);
+    const auto& typed = std::get<T>(value);
     const auto [leaf, slot] = LowerBound(typed);
     if (leaf < leaves_.size() && slot < leaves_[leaf].keys.size() && leaves_[leaf].keys[slot] == typed) {
       const auto& postings = leaves_[leaf].postings[slot];
@@ -57,7 +57,7 @@ class BTreeIndex final : public AbstractChunkIndex {
     auto leaf = size_t{0};
     auto slot = size_t{0};
     if (lower.has_value() && !VariantIsNull(*lower)) {
-      const auto typed = VariantCast<T>(*lower);
+      const auto& typed = std::get<T>(*lower);
       std::tie(leaf, slot) = LowerBound(typed);
       if (!lower_inclusive) {
         while (leaf < leaves_.size() && slot < leaves_[leaf].keys.size() && leaves_[leaf].keys[slot] == typed) {
@@ -68,7 +68,7 @@ class BTreeIndex final : public AbstractChunkIndex {
     const auto has_upper = upper.has_value() && !VariantIsNull(*upper);
     auto upper_typed = T{};
     if (has_upper) {
-      upper_typed = VariantCast<T>(*upper);
+      upper_typed = std::get<T>(*upper);
     }
     while (leaf < leaves_.size()) {
       if (slot >= leaves_[leaf].keys.size()) {
@@ -98,10 +98,6 @@ class BTreeIndex final : public AbstractChunkIndex {
       bytes += level.capacity() * sizeof(T);
     }
     return bytes;
-  }
-
-  size_t height() const {
-    return inner_levels_.size();
   }
 
  private:

@@ -52,7 +52,7 @@ class GroupKeyIndex final : public AbstractChunkIndex {
     if (VariantIsNull(value)) {
       return;
     }
-    const auto typed = VariantCast<T>(value);
+    const auto& typed = std::get<T>(value);
     const auto value_id = segment_->LowerBound(typed);
     if (value_id == kInvalidValueId || segment_->ValueOfValueId(value_id) != typed) {
       return;
@@ -66,12 +66,12 @@ class GroupKeyIndex final : public AbstractChunkIndex {
     auto first = ValueID{0};
     auto last = ValueID{static_cast<uint32_t>(segment_->dictionary().size())};
     if (lower.has_value() && !VariantIsNull(*lower)) {
-      const auto typed = VariantCast<T>(*lower);
+      const auto& typed = std::get<T>(*lower);
       const auto bound = lower_inclusive ? segment_->LowerBound(typed) : segment_->UpperBound(typed);
       first = bound == kInvalidValueId ? last : bound;
     }
     if (upper.has_value() && !VariantIsNull(*upper)) {
-      const auto typed = VariantCast<T>(*upper);
+      const auto& typed = std::get<T>(*upper);
       const auto bound = upper_inclusive ? segment_->UpperBound(typed) : segment_->LowerBound(typed);
       if (bound != kInvalidValueId) {
         last = bound;

@@ -105,6 +105,30 @@ TEST_F(ServerTest, DmlAndTransactionsAcrossMessages) {
   EXPECT_NE((*messages)[1].payload.find("2"), std::string::npos) << "rollback undid the insert";
 }
 
+TEST_F(ServerTest, StringAgainstIntColumnFailsTheStatementNotTheConnection) {
+  auto client = PgClient{server_->port()};
+  ASSERT_TRUE(client.Handshake());
+  const auto expect_connection_answers = [&] {
+    const auto answer = client.Query("SELECT 1");
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_EQ(PgClient::FindType(*answer, 'E'), nullptr);
+    EXPECT_EQ(PgClient::DataRows(*answer).size(), 1u);
+  };
+
+  for (const auto* sql : {"SELECT a FROM t WHERE a = '10'", "SELECT a FROM t WHERE a = b"}) {
+    const auto messages = client.Query(sql);
+    ASSERT_TRUE(messages.has_value());
+    EXPECT_NE(PgClient::FindType(*messages, 'E'), nullptr) << sql;
+    expect_connection_answers();
+  }
+
+  // An untyped $1 whose text is no number is bound as a string.
+  const auto messages = client.ExtendedQuery("SELECT a FROM t WHERE a = $1", {std::string{"abc"}});
+  ASSERT_TRUE(messages.has_value());
+  EXPECT_NE(PgClient::FindType(*messages, 'E'), nullptr);
+  expect_connection_answers();
+}
+
 TEST_F(ServerTest, ReadyForQueryReportsTransactionBlock) {
   auto client = PgClient{server_->port()};
   ASSERT_TRUE(client.Handshake());

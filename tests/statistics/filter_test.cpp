@@ -145,7 +145,18 @@ TEST_P(HistogramLayoutTest, OutOfRangeIsZero) {
   EXPECT_DOUBLE_EQ(histogram->EstimateCardinality(PredicateCondition::kEquals, 40), 0.0);
   EXPECT_DOUBLE_EQ(histogram->EstimateCardinality(PredicateCondition::kLessThan, 10), 0.0);
   EXPECT_DOUBLE_EQ(histogram->EstimateCardinality(PredicateCondition::kGreaterThan, 30), 0.0);
-  EXPECT_TRUE(histogram->DoesNotContain(PredicateCondition::kEquals, 40));
+}
+
+TEST_P(HistogramLayoutTest, PartialBinLeavesItsLargestValueAbove) {
+  auto values = std::vector<double>{};
+  for (auto value = 1; value <= 200; ++value) {
+    values.push_back(value);
+  }
+  const auto histogram = Histogram<double>::FromValues(values, GetParam());
+  // 200 is stored once, and it lies above 199.5 and is not below itself.
+  EXPECT_GE(histogram->EstimateCardinality(PredicateCondition::kGreaterThan, 199.5), 1.0);
+  EXPECT_GE(histogram->EstimateCardinality(PredicateCondition::kGreaterThanEquals, 200.0), 1.0);
+  EXPECT_LE(histogram->EstimateCardinality(PredicateCondition::kLessThanEquals, 199.5), 199.0);
 }
 
 TEST(HistogramTest, EmptyInputYieldsNull) {
