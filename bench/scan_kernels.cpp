@@ -7,6 +7,17 @@
 /// tracked baseline (per-element positional decode, branchy compare, matching
 /// output assembly through ComposeFilteredSegments).
 ///
+/// Five rows at 1 M rows cover the string predicates that run on dictionary
+/// codes (dictionary/fixed, strings): column against column, an IN list, a
+/// literal scan whose input is a scan's output (single-chunk pos lists), a
+/// LIKE pattern of '%' and literal text on such an input, and column against
+/// column on a selective scan's output over two mostly unique columns (few
+/// rows against large dictionaries: compared per row, not rank-merged). Their
+/// baseline is
+/// the former per-element path: std::string values through the segment
+/// iterators (a materialized right side, a hash-set probe, the backtracking
+/// LIKE matcher).
+///
 /// Emits BENCH_scan.json so the scan-perf trajectory is machine-readable:
 ///   { "configs": [ {rows, encoding, vector_compression, predicate,
 ///                   target_selectivity, legacy_ns, blockwise_ns, speedup,
@@ -17,11 +28,14 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <random>
+#include <unordered_set>
 #include <vector>
 
 #include "expression/expressions.hpp"
+#include "expression/like_matcher.hpp"
 #include "hyrise.hpp"
 #include "operators/pos_list_utils.hpp"
 #include "operators/table_scan.hpp"
@@ -31,6 +45,7 @@
 #include "storage/dictionary_segment.hpp"
 #include "storage/frame_of_reference_segment.hpp"
 #include "storage/run_length_segment.hpp"
+#include "storage/segment_iterables/segment_iterate.hpp"
 #include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 #include "storage/vector_compression/compressed_vector_utils.hpp"
@@ -220,16 +235,18 @@ void LegacyScanChunk(const std::shared_ptr<const Table>& table, ChunkID chunk_id
   Fail("Unsupported segment type in legacy scan bench");
 }
 
+using ChunkScan = std::function<void(const std::shared_ptr<const Table>&, ChunkID, std::vector<ChunkOffset>&)>;
+
 /// Full legacy scan: per-chunk parallel jobs, per-element kernels, and the
 /// same reference-segment output assembly as the operator path.
-size_t LegacyScanRows(const std::shared_ptr<const Table>& table, const ScanPredicate& predicate) {
+size_t LegacyScanRows(const std::shared_ptr<const Table>& table, const ChunkScan& scan_chunk) {
   const auto chunk_count = table->chunk_count();
   auto matches_per_chunk = std::vector<std::vector<ChunkOffset>>(chunk_count);
   auto jobs = std::vector<std::shared_ptr<AbstractTask>>{};
   jobs.reserve(chunk_count);
   for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
     jobs.push_back(std::make_shared<JobTask>([&, chunk_id] {
-      LegacyScanChunk(table, chunk_id, predicate, matches_per_chunk[chunk_id]);
+      scan_chunk(table, chunk_id, matches_per_chunk[chunk_id]);
     }));
   }
   SpawnAndWaitForTasks(jobs);
@@ -261,6 +278,149 @@ ExpressionPtr MakeScanExpression(const ScanPredicate& predicate) {
           predicate.condition, Expressions{column, std::make_shared<ValueExpression>(predicate.value)});
   }
 }
+
+// --- String predicates on dictionary codes -------------------------------
+
+ExpressionPtr StringColumn(ColumnID column_id) {
+  return std::make_shared<PqpColumnExpression>(column_id, DataType::kString, true, "s");
+}
+
+ExpressionPtr StringValue(const char* value) {
+  return std::make_shared<ValueExpression>(std::string{value});
+}
+
+std::string Date(std::mt19937_64& rng) {
+  char date[11];
+  std::snprintf(date, sizeof(date), "%04d-%02d-%02d", 1992 + static_cast<int>(rng() % 7),
+                1 + static_cast<int>(rng() % 12), 1 + static_cast<int>(rng() % 28));
+  return date;
+}
+
+/// A lineitem/orders-like string table (dictionary/fixed): keep (int, 0..9),
+/// two date columns, a 7-value mode column, a comment column of (mostly
+/// unique) word sequences, ~2% of them "special ... requests", and a second
+/// mostly unique note column.
+std::shared_ptr<TableWrapper> MakeStringTable(size_t row_count) {
+  static const char* kModes[] = {"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"};
+  static const char* kWords[] = {"carefully", "final", "deposits", "sleep", "quickly", "among", "the",
+                                 "furiously", "ironic", "packages", "pending", "accounts", "regular", "express"};
+  auto rng = std::mt19937_64{7};
+  auto note_rng = std::mt19937_64{11};
+  auto table = std::make_shared<Table>(
+      TableColumnDefinitions{{"keep", DataType::kInt, false},
+                             {"commit", DataType::kString, false},
+                             {"receipt", DataType::kString, false},
+                             {"mode", DataType::kString, false},
+                             {"comment", DataType::kString, false},
+                             {"note", DataType::kString, false}},
+      TableType::kData, kChunkSize);
+  for (auto row = size_t{0}; row < row_count; ++row) {
+    auto comment = std::string{};
+    for (auto word = 0; word < 6; ++word) {
+      comment += kWords[rng() % std::size(kWords)];
+      comment += ' ';
+      if (word == 2 && rng() % 50 == 0) {
+        comment += "special ";
+      }
+    }
+    comment += "requests " + std::to_string(rng() % 100'000);
+    auto note = std::string{kWords[note_rng() % std::size(kWords)]} + ' ' + std::to_string(note_rng() % 1'000'000);
+    table->AppendRow({static_cast<int32_t>(rng() % 10), Date(rng), Date(rng), std::string{kModes[rng() % 7]},
+                      std::move(comment), std::move(note)});
+  }
+  ChunkEncoder::EncodeAllChunks(table, {EncodingType::kDictionary, VectorCompressionType::kFixedWidthInteger});
+  auto wrapper = std::make_shared<TableWrapper>(table);
+  wrapper->Execute();
+  return wrapper;
+}
+
+/// The former column-against-column scan: the right side materialized as
+/// std::strings, the left streamed through the segment iterators.
+template <uint16_t kLeft, uint16_t kRight>
+void LegacyColumnLess(const std::shared_ptr<const Table>& table, ChunkID chunk_id, std::vector<ChunkOffset>& matches) {
+  const auto chunk = table->GetChunk(chunk_id);
+  auto right = std::vector<std::string>(chunk->size());
+  SegmentIterate<std::string>(*chunk->GetSegment(ColumnID{kRight}), [&](const auto& position) {
+    right[position.chunk_offset()] = position.value();
+  });
+  SegmentIterate<std::string>(*chunk->GetSegment(ColumnID{kLeft}), [&](const auto& position) {
+    if (!position.is_null() && position.value() < right[position.chunk_offset()]) {
+      matches.push_back(position.chunk_offset());
+    }
+  });
+}
+
+/// The former IN evaluation: every value probed in a hash set of the list.
+void LegacyModeIn(const std::shared_ptr<const Table>& table, ChunkID chunk_id, std::vector<ChunkOffset>& matches) {
+  static const auto kList = std::unordered_set<std::string>{"MAIL", "SHIP"};
+  SegmentIterate<std::string>(*table->GetChunk(chunk_id)->GetSegment(ColumnID{3}), [&](const auto& position) {
+    if (!position.is_null() && kList.contains(position.value())) {
+      matches.push_back(position.chunk_offset());
+    }
+  });
+}
+
+/// The former literal scan on reference segments: one std::string per row.
+void LegacyDateLess(const std::shared_ptr<const Table>& table, ChunkID chunk_id, std::vector<ChunkOffset>& matches) {
+  const auto bound = std::string{"1995-01-01"};
+  SegmentIterate<std::string>(*table->GetChunk(chunk_id)->GetSegment(ColumnID{1}), [&](const auto& position) {
+    if (!position.is_null() && position.value() < bound) {
+      matches.push_back(position.chunk_offset());
+    }
+  });
+}
+
+/// The former LIKE on reference segments: the backtracking matcher per row.
+void LegacyCommentNotLike(const std::shared_ptr<const Table>& table, ChunkID chunk_id,
+                          std::vector<ChunkOffset>& matches) {
+  SegmentIterate<std::string>(*table->GetChunk(chunk_id)->GetSegment(ColumnID{4}), [&](const auto& position) {
+    if (!position.is_null() && !LikeMatcher::MatchesWithBacktracking("%special%requests%", position.value())) {
+      matches.push_back(position.chunk_offset());
+    }
+  });
+}
+
+struct StringScanRow {
+  const char* name;
+  int32_t keep_below;  // Input: the output of `keep < keep_below` (single-chunk pos lists); 0: the stored table.
+  std::function<ExpressionPtr()> predicate;
+  void (*legacy)(const std::shared_ptr<const Table>&, ChunkID, std::vector<ChunkOffset>&);
+};
+
+const StringScanRow kStringRows[] = {
+    {"str_col_lt_col", 0,
+     [] {
+       return std::make_shared<PredicateExpression>(PredicateCondition::kLessThan,
+                                                    Expressions{StringColumn(ColumnID{1}), StringColumn(ColumnID{2})});
+     },
+     LegacyColumnLess<1, 2>},
+    {"str_in_list", 0,
+     [] {
+       return std::make_shared<PredicateExpression>(
+           PredicateCondition::kIn,
+           Expressions{StringColumn(ColumnID{3}),
+                       std::make_shared<ListExpression>(Expressions{StringValue("MAIL"), StringValue("SHIP")})});
+     },
+     LegacyModeIn},
+    {"str_lt_on_ref", 5,
+     [] {
+       return std::make_shared<PredicateExpression>(PredicateCondition::kLessThan,
+                                                    Expressions{StringColumn(ColumnID{1}), StringValue("1995-01-01")});
+     },
+     LegacyDateLess},
+    {"not_like_pct_on_ref", 5,
+     [] {
+       return std::make_shared<PredicateExpression>(
+           PredicateCondition::kNotLike, Expressions{StringColumn(ColumnID{4}), StringValue("%special%requests%")});
+     },
+     LegacyCommentNotLike},
+    {"str_col_lt_col_on_selective_ref", 1,
+     [] {
+       return std::make_shared<PredicateExpression>(PredicateCondition::kLessThan,
+                                                    Expressions{StringColumn(ColumnID{4}), StringColumn(ColumnID{5})});
+     },
+     LegacyColumnLess<4, 5>},
+};
 
 template <typename F>
 int64_t MedianNs(size_t runs, const F& body) {
@@ -303,7 +463,9 @@ int Main(int argc, char** argv) {
         });
         auto legacy_rows = size_t{0};
         const auto legacy_ns = MedianNs(runs, [&] {
-          legacy_rows = LegacyScanRows(table, predicate);
+          legacy_rows = LegacyScanRows(table, [&](const auto& chunk_table, ChunkID chunk_id, auto& matches) {
+            LegacyScanChunk(chunk_table, chunk_id, predicate, matches);
+          });
         });
         Assert(legacy_rows == blockwise_rows, "Legacy and blockwise scans disagree on the result size");
 
@@ -323,6 +485,48 @@ int Main(int argc, char** argv) {
                 ", \"speedup\": " + std::to_string(speedup) + ", \"output_rows\": " + std::to_string(blockwise_rows) +
                 "}";
       }
+    }
+  }
+  {
+    const auto row_count = std::max(size_t{1000}, static_cast<size_t>(1'000'000.0 * scale));
+    const auto stored = MakeStringTable(row_count);
+    for (const auto& row : kStringRows) {
+      auto input = std::shared_ptr<AbstractOperator>{stored};
+      if (row.keep_below > 0) {
+        input = std::make_shared<TableScan>(
+            stored, std::make_shared<PredicateExpression>(
+                        PredicateCondition::kLessThan,
+                        Expressions{std::make_shared<PqpColumnExpression>(ColumnID{0}, DataType::kInt, false, "keep"),
+                                    std::make_shared<ValueExpression>(row.keep_below)}));
+        input->Execute();
+      }
+      const auto input_rows = input->get_output()->row_count();
+      auto blockwise_rows = size_t{0};
+      const auto blockwise_ns = MedianNs(runs, [&] {
+        auto scan = std::make_shared<TableScan>(input, row.predicate());
+        scan->Execute();
+        blockwise_rows = scan->get_output()->row_count();
+      });
+      auto legacy_rows = size_t{0};
+      const auto legacy_ns = MedianNs(runs, [&] {
+        legacy_rows = LegacyScanRows(input->get_output(), row.legacy);
+      });
+      Assert(legacy_rows == blockwise_rows, "Legacy and dictionary-code scans disagree on the result size");
+
+      const auto selectivity = static_cast<double>(blockwise_rows) / static_cast<double>(input_rows);
+      const auto speedup = static_cast<double>(legacy_ns) / static_cast<double>(blockwise_ns);
+      char line[160];
+      std::snprintf(line, sizeof(line), "%10zu  %-17s %-31s %5.3f %12.2f %13.2f %7.2fx", input_rows,
+                    "dictionary/fixed", row.name, selectivity, static_cast<double>(legacy_ns) / 1e6,
+                    static_cast<double>(blockwise_ns) / 1e6, speedup);
+      std::cout << line << "\n";
+
+      json += ",\n    {\"rows\": " + std::to_string(input_rows) +
+              ", \"encoding\": \"dictionary/fixed\", \"predicate\": \"" + row.name +
+              "\", \"target_selectivity\": " + std::to_string(selectivity) +
+              ", \"legacy_ns\": " + std::to_string(legacy_ns) + ", \"blockwise_ns\": " + std::to_string(blockwise_ns) +
+              ", \"speedup\": " + std::to_string(speedup) + ", \"output_rows\": " + std::to_string(blockwise_rows) +
+              "}";
     }
   }
   json += "\n  ]\n}\n";

@@ -403,7 +403,8 @@ std::shared_ptr<ExpressionResult<int32_t>> ExpressionEvaluator::EvaluateLike(con
     });
   }
   return Combine<int32_t>(*values, *patterns, [&](const std::string& value, const std::string& pattern, bool&) {
-    return static_cast<int32_t>(LikeMatcher{pattern}.Matches(value) != invert);
+    // A pattern per row: match without splitting each pattern first.
+    return static_cast<int32_t>(LikeMatcher::MatchesWithBacktracking(pattern, value) != invert);
   });
 }
 

@@ -130,6 +130,9 @@ Segments ComposeFilteredSegments(const std::shared_ptr<const Table>& input, Chun
       for (const auto offset : matches) {
         composed->push_back(input_pos_list[offset]);
       }
+      if (input_pos_list.ReferencesSingleChunk()) {
+        composed->GuaranteeSingleChunk();  // A subset of one chunk's rows.
+      }
     }
     segments.push_back(std::make_shared<ReferenceSegment>(reference_segment->referenced_table(),
                                                           reference_segment->referenced_column_id(), composed));

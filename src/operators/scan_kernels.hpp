@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "storage/frame_of_reference_segment.hpp"
+#include "storage/pos_list.hpp"
 #include "storage/run_length_segment.hpp"
 #include "storage/vector_compression/base_compressed_vector.hpp"
 #include "types/types.hpp"
@@ -37,27 +38,34 @@ inline void EmitBlockMask(const BlockMask& mask, size_t base, std::vector<ChunkO
   }
 }
 
-/// Evaluates `predicate(element)` over `count` elements into a match mask.
-/// The full-block case runs two fixed 64-iteration shift-or loops with no
-/// data-dependent branch.
-template <typename ElementT, typename Predicate>
-BlockMask BuildBlockMask(const ElementT* elements, size_t count, const Predicate& predicate) {
+/// Evaluates `predicate(index)` for every index in [0, count) into a match
+/// mask. The full-block case runs two fixed 64-iteration shift-or loops with
+/// no data-dependent branch.
+template <typename Predicate>
+BlockMask BuildBlockMaskAt(size_t count, const Predicate& predicate) {
   auto mask = BlockMask{};
   if (count == BaseCompressedVector::kDecodeBlockSize) {
     for (auto word_index = size_t{0}; word_index < 2; ++word_index) {
-      const auto* element = elements + word_index * 64;
       auto word = uint64_t{0};
       for (auto bit = size_t{0}; bit < 64; ++bit) {
-        word |= static_cast<uint64_t>(predicate(element[bit])) << bit;
+        word |= static_cast<uint64_t>(predicate(word_index * 64 + bit)) << bit;
       }
       mask[word_index] = word;
     }
   } else {
     for (auto index = size_t{0}; index < count; ++index) {
-      mask[index >> 6] |= static_cast<uint64_t>(predicate(elements[index])) << (index & 63);
+      mask[index >> 6] |= static_cast<uint64_t>(predicate(index)) << (index & 63);
     }
   }
   return mask;
+}
+
+/// Evaluates `predicate(element)` over `count` elements into a match mask.
+template <typename ElementT, typename Predicate>
+BlockMask BuildBlockMask(const ElementT* elements, size_t count, const Predicate& predicate) {
+  return BuildBlockMaskAt(count, [&](size_t index) {
+    return predicate(elements[index]);
+  });
 }
 
 /// Clears mask bits of NULL positions (`nulls` as stored by
@@ -97,13 +105,24 @@ void ForEachCodeBlock(const CompressedVectorT& vector, const Functor& functor) {
   }
 }
 
-/// Appends the offsets whose code satisfies `predicate` — the shared body of
-/// the dictionary kernels (range, exclusion, LIKE bitmap, IS [NOT] NULL).
-template <typename CompressedVectorT, typename Predicate>
-void ScanCodes(const CompressedVectorT& vector, const Predicate& predicate, std::vector<ChunkOffset>& matches) {
-  ForEachCodeBlock(vector, [&](const auto* codes, size_t count, size_t base) {
-    EmitBlockMask(BuildBlockMask(codes, count, predicate), base, matches);
-  });
+/// Calls `functor(codes, count, base)` for every 128-row block of the codes
+/// at `positions`' chunk offsets (a pos list that references a single chunk
+/// of `vector`'s segment): the gather counterpart of ForEachCodeBlock, read
+/// through the vector's non-virtual decompressor.
+template <typename CompressedVectorT, typename Functor>
+void ForEachGatheredCodeBlock(const CompressedVectorT& vector, const RowIDPosList& positions,
+                              const Functor& functor) {
+  constexpr auto kBlock = BaseCompressedVector::kDecodeBlockSize;
+  const auto decompressor = vector.CreateDecompressor();
+  const auto size = positions.size();
+  alignas(64) std::array<uint32_t, kBlock> buffer;
+  for (auto base = size_t{0}; base < size; base += kBlock) {
+    const auto count = std::min(kBlock, size - base);
+    for (auto index = size_t{0}; index < count; ++index) {
+      buffer[index] = decompressor.Get(positions[base + index].chunk_offset);
+    }
+    functor(buffer.data(), count, base);
+  }
 }
 
 /// Unencoded kernel: raw values plus byte-per-row null flags (nullptr when

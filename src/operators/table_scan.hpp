@@ -23,11 +23,11 @@ void ScanSegmentForLiteral(const AbstractSegment& segment, const TypedPredicate<
                            std::vector<ChunkOffset>& matches);
 
 /// Filters rows by a predicate expression. Simple predicate shapes
-/// (column-vs-value, BETWEEN, LIKE, IS NULL, column-vs-column) run as
-/// specialized, statically resolved scans over the segment iterables —
-/// dictionary segments are scanned on integer value IDs without decoding
-/// (paper §2.3). Anything more complex falls back to the expression
-/// evaluator.
+/// (column-vs-value, BETWEEN, LIKE, IN lists of literals, IS NULL,
+/// column-vs-column) run as specialized, statically resolved scans —
+/// dictionary segments, stored or referenced through a single-chunk pos
+/// list, are scanned on integer value IDs without decoding (paper §2.3).
+/// Anything more complex falls back to the expression evaluator.
 class TableScan final : public AbstractOperator {
  public:
   TableScan(std::shared_ptr<AbstractOperator> input, ExpressionPtr predicate);

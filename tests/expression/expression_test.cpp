@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "expression/expression_evaluator.hpp"
 #include "expression/expression_utils.hpp"
 #include "expression/like_matcher.hpp"
@@ -32,6 +34,40 @@ TEST(LikeMatcherTest, Wildcards) {
   EXPECT_TRUE(LikeMatcher{"abc"}.Matches("abc"));
   EXPECT_FALSE(LikeMatcher{"abc"}.Matches("abcd"));
   EXPECT_TRUE(LikeMatcher{"%special%requests%"}.Matches("very special packages requests here"));
+}
+
+TEST(LikeMatcherTest, PercentOnlyPatternsMatchLikeTheBacktrackingMatcher) {
+  // Edge cases of the prefix/find/suffix path: empty parts, '%%', and a
+  // prefix and suffix that would overlap.
+  EXPECT_FALSE(LikeMatcher{"a%a"}.Matches("a"));
+  EXPECT_TRUE(LikeMatcher{"a%a"}.Matches("aa"));
+  EXPECT_TRUE(LikeMatcher{"%%"}.Matches(""));
+  EXPECT_TRUE(LikeMatcher{""}.Matches(""));
+  EXPECT_FALSE(LikeMatcher{""}.Matches("a"));
+  EXPECT_FALSE(LikeMatcher{"ab%ba"}.Matches("aba"));
+  EXPECT_TRUE(LikeMatcher{"%aa%aa%"}.Matches("aaaa"));
+  EXPECT_FALSE(LikeMatcher{"%aa%aa%"}.Matches("aaa"));
+
+  // Seeded random patterns over {a, b, %} (plus some with '_', which keep
+  // the backtracking matcher) against random inputs over {a, b}.
+  auto rng = std::mt19937{2019};
+  const auto random_string = [&](const char* alphabet, size_t alphabet_size, size_t max_length) {
+    auto text = std::string{};
+    const auto length = rng() % (max_length + 1);
+    for (auto index = size_t{0}; index < length; ++index) {
+      text += alphabet[rng() % alphabet_size];
+    }
+    return text;
+  };
+  for (auto round = 0; round < 2000; ++round) {
+    const auto pattern = round % 10 == 0 ? random_string("ab%_", 4, 6) : random_string("ab%", 3, 7);
+    const auto matcher = LikeMatcher{pattern};
+    for (auto input_round = 0; input_round < 20; ++input_round) {
+      const auto input = random_string("ab", 2, 9);
+      EXPECT_EQ(matcher.Matches(input), LikeMatcher::MatchesWithBacktracking(pattern, input))
+          << "pattern '" << pattern << "' input '" << input << "'";
+    }
+  }
 }
 
 TEST(ExpressionTest, StructuralEqualityAndHash) {
