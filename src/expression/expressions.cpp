@@ -57,7 +57,7 @@ DataType PromoteDataTypes(DataType lhs, DataType rhs) {
   }
   if (lhs == DataType::kString || rhs == DataType::kString) {
     if (lhs != rhs) {
-      throw std::invalid_argument{"Cannot combine string and numeric types"};
+      throw DataTypeMismatch{"Cannot combine string and numeric types"};
     }
     return DataType::kString;
   }

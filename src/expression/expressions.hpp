@@ -16,7 +16,7 @@ class AbstractLqpNode;
 class AbstractOperator;
 
 /// Numeric type promotion for arithmetic and comparisons. String against
-/// number throws std::invalid_argument, which fails the statement.
+/// number throws DataTypeMismatch, which fails the statement.
 DataType PromoteDataTypes(DataType lhs, DataType rhs);
 
 // --- Leaves ------------------------------------------------------------------

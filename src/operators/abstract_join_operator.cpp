@@ -1,11 +1,34 @@
 #include "operators/abstract_join_operator.hpp"
 
+#include "expression/expressions.hpp"
 #include "operators/column_materializer.hpp"
 #include "operators/pos_list_utils.hpp"
+#include "operators/scan_kernels.hpp"
 #include "storage/table.hpp"
 #include "utils/assert.hpp"
 
 namespace hyrise {
+
+JoinPredicateChecker::JoinPredicateChecker(const std::vector<JoinOperatorPredicate>& predicates, const Table& left,
+                                           const Table& right) {
+  predicates_.reserve(predicates.size());
+  for (const auto& predicate : predicates) {
+    const auto type = PromoteDataTypes(left.column_data_type(predicate.left_column),
+                                       right.column_data_type(predicate.right_column));
+    ResolveDataType(type, [&](auto type_tag) {
+      using K = decltype(type_tag);
+      auto left_values = MaterializeColumnAs<K>(left, predicate.left_column);
+      auto right_values = MaterializeColumnAs<K>(right, predicate.right_column);
+      WithComparator(predicate.condition, [&](auto comparator) {
+        predicates_.emplace_back([comparator, left_values = std::move(left_values),
+                                  right_values = std::move(right_values)](size_t left_row, size_t right_row) {
+          return !left_values.IsNull(left_row) && !right_values.IsNull(right_row) &&
+                 comparator(left_values.values[left_row], right_values.values[right_row]);
+        });
+      });
+    });
+  }
+}
 
 AbstractJoinOperator::AbstractJoinOperator(OperatorType type, std::shared_ptr<AbstractOperator> left,
                                            std::shared_ptr<AbstractOperator> right, JoinMode mode,
@@ -20,27 +43,6 @@ std::string AbstractJoinOperator::Description() const {
   return name() + std::string{" ("} + JoinModeToString(mode_) + ") #" + std::to_string(primary_.left_column) + " " +
          PredicateConditionToString(primary_.condition) + " #" + std::to_string(primary_.right_column) +
          (secondary_.empty() ? "" : " +" + std::to_string(secondary_.size()) + " secondary");
-}
-
-AbstractJoinOperator::SecondaryPredicateChecker::SecondaryPredicateChecker(
-    const std::vector<JoinOperatorPredicate>& predicates, const Table& left, const Table& right)
-    : predicates_(predicates) {
-  left_columns_.reserve(predicates.size());
-  right_columns_.reserve(predicates.size());
-  for (const auto& predicate : predicates_) {
-    left_columns_.push_back(MaterializeColumnAsVariants(left, predicate.left_column));
-    right_columns_.push_back(MaterializeColumnAsVariants(right, predicate.right_column));
-  }
-}
-
-bool AbstractJoinOperator::SecondaryPredicateChecker::Passes(size_t left_row, size_t right_row) const {
-  for (auto index = size_t{0}; index < predicates_.size(); ++index) {
-    if (!CompareVariants(predicates_[index].condition, left_columns_[index][left_row],
-                         right_columns_[index][right_row])) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::shared_ptr<Table> AbstractJoinOperator::BuildOutput(const std::shared_ptr<const Table>& left,
@@ -72,28 +74,6 @@ std::shared_ptr<Table> AbstractJoinOperator::BuildOutput(const std::shared_ptr<c
   }
   output->AppendChunk(std::move(segments));
   return output;
-}
-
-bool CompareVariants(PredicateCondition condition, const AllTypeVariant& lhs, const AllTypeVariant& rhs) {
-  if (VariantIsNull(lhs) || VariantIsNull(rhs)) {
-    return false;
-  }
-  switch (condition) {
-    case PredicateCondition::kEquals:
-      return VariantEquals(lhs, rhs);
-    case PredicateCondition::kNotEquals:
-      return !VariantEquals(lhs, rhs);
-    case PredicateCondition::kLessThan:
-      return VariantLessThan(lhs, rhs);
-    case PredicateCondition::kLessThanEquals:
-      return !VariantLessThan(rhs, lhs);
-    case PredicateCondition::kGreaterThan:
-      return VariantLessThan(rhs, lhs);
-    case PredicateCondition::kGreaterThanEquals:
-      return !VariantLessThan(lhs, rhs);
-    default:
-      Fail("Unsupported secondary join predicate condition");
-  }
 }
 
 }  // namespace hyrise

@@ -1,11 +1,11 @@
 #ifndef HYRISE_SRC_OPERATORS_ABSTRACT_JOIN_OPERATOR_HPP_
 #define HYRISE_SRC_OPERATORS_ABSTRACT_JOIN_OPERATOR_HPP_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "operators/abstract_operator.hpp"
-#include "types/all_type_variant.hpp"
 
 namespace hyrise {
 
@@ -16,10 +16,38 @@ struct JoinOperatorPredicate {
   PredicateCondition condition{PredicateCondition::kEquals};
 };
 
+/// Evaluates join predicates on candidate pairs of global row indexes (left
+/// row, right row). Each predicate is typed once: both columns are
+/// materialized as their PromoteDataTypes type and compared through a
+/// statically resolved comparator, with NULL never matching. A string
+/// compared with a number throws DataTypeMismatch at construction.
+class JoinPredicateChecker {
+ public:
+  JoinPredicateChecker(const std::vector<JoinOperatorPredicate>& predicates, const Table& left, const Table& right);
+
+  bool Passes(size_t left_row, size_t right_row) const {
+    for (const auto& predicate : predicates_) {
+      if (!predicate(left_row, right_row)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  bool AlwaysTrue() const {
+    return predicates_.empty();
+  }
+
+ private:
+  /// One function per predicate, owning its two materialized columns.
+  std::vector<std::function<bool(size_t, size_t)>> predicates_;
+};
+
 /// Shared machinery of the three join implementations (paper §2.1: "we
 /// implement joins as either sort-merge joins, hash joins, or nested-loop
 /// joins"): the primary predicate drives the algorithm, secondary predicates
-/// are evaluated on candidate pairs, and outputs are reference tables.
+/// are evaluated on candidate pairs by a JoinPredicateChecker, and outputs
+/// are reference tables.
 class AbstractJoinOperator : public AbstractOperator {
  public:
   AbstractJoinOperator(OperatorType type, std::shared_ptr<AbstractOperator> left,
@@ -41,26 +69,6 @@ class AbstractJoinOperator : public AbstractOperator {
   std::string Description() const final;
 
  protected:
-  /// Checks all secondary predicates for the pair (left_row, right_row) using
-  /// pre-materialized columns. Untyped comparison — secondary predicates are
-  /// rare and never the inner loop's common case.
-  class SecondaryPredicateChecker {
-   public:
-    SecondaryPredicateChecker(const std::vector<JoinOperatorPredicate>& predicates, const Table& left,
-                              const Table& right);
-
-    bool Passes(size_t left_row, size_t right_row) const;
-
-    bool AlwaysTrue() const {
-      return predicates_.empty();
-    }
-
-   private:
-    const std::vector<JoinOperatorPredicate>& predicates_;
-    std::vector<std::vector<AllTypeVariant>> left_columns_;
-    std::vector<std::vector<AllTypeVariant>> right_columns_;
-  };
-
   /// Assembles the output reference table from matched row indices
   /// (kPaddingRow = NULL-padded outer row). For semi/anti joins only the left
   /// side is emitted.
@@ -72,9 +80,6 @@ class AbstractJoinOperator : public AbstractOperator {
   JoinOperatorPredicate primary_;
   std::vector<JoinOperatorPredicate> secondary_;
 };
-
-/// Compares two variants under a condition (NULL never matches).
-bool CompareVariants(PredicateCondition condition, const AllTypeVariant& lhs, const AllTypeVariant& rhs);
 
 }  // namespace hyrise
 

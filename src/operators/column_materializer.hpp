@@ -5,32 +5,12 @@
 #include <utility>
 #include <vector>
 
-#include "operators/scan_kernels.hpp"
 #include "scheduler/job_helpers.hpp"
-#include "storage/dictionary_segment.hpp"
-#include "storage/frame_of_reference_segment.hpp"
-#include "storage/run_length_segment.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
-#include "storage/value_segment.hpp"
-#include "storage/vector_compression/compressed_vector_utils.hpp"
-#include "types/all_type_variant.hpp"
 #include "utils/assert.hpp"
 
 namespace hyrise {
-
-/// A fully materialized column: values plus null flags, indexed by global
-/// row index (counting across chunks). Sort, joins, and the aggregate
-/// materialize their key columns once and then work on flat vectors.
-template <typename T>
-struct MaterializedColumn {
-  std::vector<T> values;
-  std::vector<bool> nulls;
-
-  bool IsNull(size_t row) const {
-    return !nulls.empty() && nulls[row];
-  }
-};
 
 /// Global [begin, end) row-index ranges of each chunk — the fan-out
 /// granularity for row-major operators (paper §2.9: one task per chunk).
@@ -48,95 +28,6 @@ inline std::vector<std::pair<size_t, size_t>> ChunkRowRanges(const Table& table)
 }
 
 namespace detail {
-
-/// Blockwise fast paths for the per-chunk materialization job (DESIGN.md
-/// §5d): value segments copy their backing vector directly, dictionary and
-/// frame-of-reference segments decode the compressed attribute vector 128
-/// values at a time through DecodeBlockInto and gather/rebase, and run-length
-/// segments expand run-wise. Returns false when the segment type has no fast
-/// path (reference segments), in which case the caller falls back to
-/// SegmentIterate. Writes are identical to the per-element loop: value rows
-/// land in `values[base + offset]`, null rows are appended to `null_rows` in
-/// ascending offset order.
-template <typename K, typename T>
-bool TryMaterializeSegmentBlockwise(const AbstractSegment& segment, size_t base, std::vector<K>& values,
-                                    std::vector<size_t>& null_rows) {
-  if (const auto* value_segment = dynamic_cast<const ValueSegment<T>*>(&segment)) {
-    const auto size = static_cast<size_t>(value_segment->size());
-    const auto& raw = value_segment->values();
-    const auto& nulls = value_segment->null_values();
-    for (auto offset = size_t{0}; offset < size; ++offset) {
-      if (!nulls.empty() && nulls[offset] != 0) {
-        null_rows.push_back(base + offset);
-      } else {
-        values[base + offset] = static_cast<K>(raw[offset]);
-      }
-    }
-    return true;
-  }
-
-  if (const auto* dictionary_segment = dynamic_cast<const DictionarySegment<T>*>(&segment)) {
-    const auto& dictionary = dictionary_segment->dictionary();
-    const auto null_id = dictionary_segment->null_value_id();
-    ResolveCompressedVector(dictionary_segment->attribute_vector(), [&](const auto& vector) {
-      ForEachCodeBlock(vector, [&](const auto* codes, size_t count, size_t block_base) {
-        for (auto index = size_t{0}; index < count; ++index) {
-          const auto code = static_cast<uint32_t>(codes[index]);
-          if (code == null_id) {
-            null_rows.push_back(base + block_base + index);
-          } else {
-            values[base + block_base + index] = static_cast<K>(dictionary[code]);
-          }
-        }
-      });
-    });
-    return true;
-  }
-
-  if constexpr (std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>) {
-    if (const auto* for_segment = dynamic_cast<const FrameOfReferenceSegment<T>*>(&segment)) {
-      const auto& minima = for_segment->block_minima();
-      const auto& nulls = for_segment->null_values();
-      ResolveCompressedVector(for_segment->offset_values(), [&](const auto& vector) {
-        ForEachCodeBlock(vector, [&](const auto* codes, size_t count, size_t block_base) {
-          const auto minimum = minima[block_base / FrameOfReferenceSegment<T>::kBlockSize];
-          for (auto index = size_t{0}; index < count; ++index) {
-            if (!nulls.empty() && nulls[block_base + index]) {
-              null_rows.push_back(base + block_base + index);
-            } else {
-              values[base + block_base + index] = static_cast<K>(minimum + static_cast<T>(codes[index]));
-            }
-          }
-        });
-      });
-      return true;
-    }
-  }
-
-  if (const auto* run_length_segment = dynamic_cast<const RunLengthSegment<T>*>(&segment)) {
-    const auto& run_values = run_length_segment->values();
-    const auto& run_is_null = run_length_segment->run_is_null();
-    const auto& end_positions = run_length_segment->end_positions();
-    auto start = size_t{0};
-    for (auto run = size_t{0}; run < run_values.size(); ++run) {
-      const auto end = static_cast<size_t>(end_positions[run]);
-      if (run_is_null[run]) {
-        for (auto offset = start; offset <= end; ++offset) {
-          null_rows.push_back(base + offset);
-        }
-      } else {
-        const auto value = static_cast<K>(run_values[run]);
-        for (auto offset = start; offset <= end; ++offset) {
-          values[base + offset] = value;
-        }
-      }
-      start = end + 1;
-    }
-    return true;
-  }
-
-  return false;
-}
 
 /// Shared body of MaterializeColumn/MaterializeColumnAs: reads the segments
 /// as their stored type T and writes values of type K, casting inside the
@@ -161,31 +52,14 @@ MaterializedColumn<K> MaterializeColumnCasting(const Table& table, ColumnID colu
     jobs.push_back(
         std::make_shared<JobTask>([segment, base, &values = materialized.values,
                                    &null_rows = null_rows_per_chunk[chunk_id]] {
-          if (TryMaterializeSegmentBlockwise<K, T>(*segment, base, values, null_rows)) {
-            return;
-          }
-          SegmentIterate<T>(*segment, [&](const auto& position) {
-            if (position.is_null()) {
-              null_rows.push_back(base + position.chunk_offset());
-            } else {
-              values[base + position.chunk_offset()] = static_cast<K>(position.value());
-            }
-          });
+          DecodeSegment<K, T>(*segment, base, values, null_rows);
         }));
     base += chunk->size();
   }
   SpawnAndWaitForTasks(jobs);
 
   for (const auto& null_rows : null_rows_per_chunk) {
-    if (null_rows.empty()) {
-      continue;
-    }
-    if (materialized.nulls.empty()) {
-      materialized.nulls.assign(row_count, false);
-    }
-    for (const auto row : null_rows) {
-      materialized.nulls[row] = true;
-    }
+    materialized.MarkNulls(null_rows);
   }
   return materialized;
 }
@@ -198,7 +72,7 @@ MaterializedColumn<T> MaterializeColumn(const Table& table, ColumnID column_id) 
 }
 
 /// Materializes a column of any arithmetic type as the (promoted) type K —
-/// the joins' key materialization. Fails for unsupported combinations
+/// the joins' keys and predicate columns. Fails for unsupported combinations
 /// (string as arithmetic or vice versa).
 template <typename K>
 MaterializedColumn<K> MaterializeColumnAs(const Table& table, ColumnID column_id) {
@@ -215,10 +89,6 @@ MaterializedColumn<K> MaterializeColumnAs(const Table& table, ColumnID column_id
   });
   return materialized;
 }
-
-/// Untyped materialization for code paths where per-row type dispatch is
-/// acceptable (nested-loop join, secondary join predicates).
-std::vector<AllTypeVariant> MaterializeColumnAsVariants(const Table& table, ColumnID column_id);
 
 }  // namespace hyrise
 

@@ -163,7 +163,7 @@ std::shared_ptr<const Table> JoinHash::OnExecute(const std::shared_ptr<Transacti
   auto left_rows = std::vector<size_t>{};
   auto right_rows = std::vector<size_t>{};
 
-  const auto checker = SecondaryPredicateChecker{secondary_, *left, *right};
+  const auto checker = JoinPredicateChecker{secondary_, *left, *right};
   const auto emit_pairs = mode_ == JoinMode::kInner || mode_ == JoinMode::kLeft;
 
   Assert(left->row_count() < kNoMatch && right->row_count() < kNoMatch,

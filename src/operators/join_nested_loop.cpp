@@ -1,6 +1,5 @@
 #include "operators/join_nested_loop.hpp"
 
-#include "operators/column_materializer.hpp"
 #include "operators/pos_list_utils.hpp"
 #include "storage/table.hpp"
 #include "utils/assert.hpp"
@@ -19,21 +18,20 @@ std::shared_ptr<const Table> JoinNestedLoop::OnExecute(const std::shared_ptr<Tra
   const auto left = left_input_->get_output();
   const auto right = right_input_->get_output();
 
-  const auto left_keys = MaterializeColumnAsVariants(*left, primary_.left_column);
-  const auto right_keys = MaterializeColumnAsVariants(*right, primary_.right_column);
-  const auto checker = SecondaryPredicateChecker{secondary_, *left, *right};
+  auto predicates = std::vector<JoinOperatorPredicate>{primary_};
+  predicates.insert(predicates.end(), secondary_.begin(), secondary_.end());
+  const auto checker = JoinPredicateChecker{predicates, *left, *right};
 
+  const auto left_row_count = static_cast<size_t>(left->row_count());
+  const auto right_row_count = static_cast<size_t>(right->row_count());
   auto left_rows = std::vector<size_t>{};
   auto right_rows = std::vector<size_t>{};
-  auto right_matched = std::vector<bool>(right_keys.size(), false);
+  auto right_matched = std::vector<bool>(right_row_count, false);
 
-  for (auto left_row = size_t{0}; left_row < left_keys.size(); ++left_row) {
+  for (auto left_row = size_t{0}; left_row < left_row_count; ++left_row) {
     auto matched = false;
-    for (auto right_row = size_t{0}; right_row < right_keys.size(); ++right_row) {
-      if (!CompareVariants(primary_.condition, left_keys[left_row], right_keys[right_row])) {
-        continue;
-      }
-      if (!checker.AlwaysTrue() && !checker.Passes(left_row, right_row)) {
+    for (auto right_row = size_t{0}; right_row < right_row_count; ++right_row) {
+      if (!checker.Passes(left_row, right_row)) {
         continue;
       }
       matched = true;

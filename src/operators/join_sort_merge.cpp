@@ -29,7 +29,7 @@ std::shared_ptr<const Table> JoinSortMerge::OnExecute(const std::shared_ptr<Tran
 
   auto left_rows = std::vector<size_t>{};
   auto right_rows = std::vector<size_t>{};
-  const auto checker = SecondaryPredicateChecker{secondary_, *left, *right};
+  const auto checker = JoinPredicateChecker{secondary_, *left, *right};
 
   ResolveDataType(key_type, [&](auto type_tag) {
     using K = decltype(type_tag);

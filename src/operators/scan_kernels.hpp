@@ -10,8 +10,10 @@
 #include "storage/frame_of_reference_segment.hpp"
 #include "storage/pos_list.hpp"
 #include "storage/run_length_segment.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/vector_compression/base_compressed_vector.hpp"
 #include "types/types.hpp"
+#include "utils/assert.hpp"
 
 namespace hyrise {
 
@@ -22,6 +24,47 @@ namespace hyrise {
 /// offsets through the shared bitmask -> position-list emitter. Bits are set
 /// and scanned in ascending offset order, so the emitted PosList is
 /// byte-identical to the per-element reference loop.
+
+/// Statically resolves a comparison condition to a comparator functor, so the
+/// hot loop compiles without a switch (paper §2.3: "not only the iterators,
+/// but also the functors are resolved at compile time").
+template <typename Functor>
+void WithComparator(PredicateCondition condition, const Functor& functor) {
+  switch (condition) {
+    case PredicateCondition::kEquals:
+      functor([](const auto& lhs, const auto& rhs) {
+        return lhs == rhs;
+      });
+      return;
+    case PredicateCondition::kNotEquals:
+      functor([](const auto& lhs, const auto& rhs) {
+        return lhs != rhs;
+      });
+      return;
+    case PredicateCondition::kLessThan:
+      functor([](const auto& lhs, const auto& rhs) {
+        return lhs < rhs;
+      });
+      return;
+    case PredicateCondition::kLessThanEquals:
+      functor([](const auto& lhs, const auto& rhs) {
+        return lhs <= rhs;
+      });
+      return;
+    case PredicateCondition::kGreaterThan:
+      functor([](const auto& lhs, const auto& rhs) {
+        return lhs > rhs;
+      });
+      return;
+    case PredicateCondition::kGreaterThanEquals:
+      functor([](const auto& lhs, const auto& rhs) {
+        return lhs >= rhs;
+      });
+      return;
+    default:
+      Fail("No comparator for this condition");
+  }
+}
 
 /// Match mask of one 128-value block; bit i corresponds to offset base + i.
 using BlockMask = std::array<uint64_t, 2>;
@@ -80,29 +123,6 @@ inline void ApplyNullMask(BlockMask& mask, const std::vector<bool>& nulls, size_
   }
   mask[0] &= keep[0];
   mask[1] &= keep[1];
-}
-
-/// Calls `functor(codes, count, base)` for every 128-code block of a
-/// statically resolved compressed vector. Fixed-width vectors are read in
-/// place (the functor sees uint8/16/32 elements); bit-packed vectors are
-/// unpacked block-wise through the SIMD kernels.
-template <typename CompressedVectorT, typename Functor>
-void ForEachCodeBlock(const CompressedVectorT& vector, const Functor& functor) {
-  constexpr auto kBlock = BaseCompressedVector::kDecodeBlockSize;
-  const auto size = vector.size();
-  if constexpr (requires { vector.data(); }) {
-    const auto* codes = vector.data().data();
-    for (auto base = size_t{0}; base < size; base += kBlock) {
-      functor(codes + base, std::min(kBlock, size - base), base);
-    }
-  } else {
-    alignas(64) std::array<uint32_t, kBlock> buffer;
-    const auto block_count = (size + kBlock - 1) / kBlock;
-    for (auto block = size_t{0}; block < block_count; ++block) {
-      const auto count = vector.DecodeBlockInto(block, buffer.data());
-      functor(buffer.data(), count, block * kBlock);
-    }
-  }
 }
 
 /// Calls `functor(codes, count, base)` for every 128-row block of the codes

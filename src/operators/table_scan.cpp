@@ -20,65 +20,6 @@ namespace hyrise {
 
 namespace {
 
-/// Statically resolves a comparison condition to a comparator functor, so the
-/// hot loop compiles without a switch (paper §2.3: "not only the iterators,
-/// but also the functors are resolved at compile time").
-template <typename Functor>
-void WithComparator(PredicateCondition condition, const Functor& functor) {
-  switch (condition) {
-    case PredicateCondition::kEquals:
-      functor([](const auto& lhs, const auto& rhs) {
-        return lhs == rhs;
-      });
-      return;
-    case PredicateCondition::kNotEquals:
-      functor([](const auto& lhs, const auto& rhs) {
-        return lhs != rhs;
-      });
-      return;
-    case PredicateCondition::kLessThan:
-      functor([](const auto& lhs, const auto& rhs) {
-        return lhs < rhs;
-      });
-      return;
-    case PredicateCondition::kLessThanEquals:
-      functor([](const auto& lhs, const auto& rhs) {
-        return lhs <= rhs;
-      });
-      return;
-    case PredicateCondition::kGreaterThan:
-      functor([](const auto& lhs, const auto& rhs) {
-        return lhs > rhs;
-      });
-      return;
-    case PredicateCondition::kGreaterThanEquals:
-      functor([](const auto& lhs, const auto& rhs) {
-        return lhs >= rhs;
-      });
-      return;
-    default:
-      Fail("No comparator for this condition");
-  }
-}
-
-/// Iterates a segment of any numeric type, presenting values as C (the
-/// promoted comparison type). Same-type iteration has no conversion cost.
-template <typename C, typename Functor>
-void IterateAs(const AbstractSegment& segment, const Functor& functor) {
-  ResolveDataType(segment.data_type(), [&](auto type_tag) {
-    using T = decltype(type_tag);
-    if constexpr (std::is_same_v<T, C>) {
-      SegmentIterate<T>(segment, functor);
-    } else if constexpr (std::is_arithmetic_v<T> && std::is_arithmetic_v<C>) {
-      SegmentIterate<T>(segment, [&](const auto& position) {
-        functor(SegmentPosition<C>{static_cast<C>(position.value()), position.is_null(), position.chunk_offset()});
-      });
-    } else {
-      Fail("Cannot compare string and numeric columns");
-    }
-  });
-}
-
 /// The recognized fast-path predicate shapes.
 enum class ScanKind {
   kColumnVsValue,  // Includes BETWEEN two values.
@@ -534,8 +475,8 @@ void ScanNulls(const AbstractSegment& segment, bool want_null, std::vector<Chunk
 }
 
 [[noreturn]] void ThrowTypeMismatch(DataType column_type) {
-  throw std::invalid_argument{std::string{"Cannot compare a column of type "} + DataTypeToString(column_type) +
-                              " with a " + (column_type == DataType::kString ? "number" : "string")};
+  throw DataTypeMismatch{std::string{"Cannot compare a column of type "} + DataTypeToString(column_type) +
+                         " with a " + (column_type == DataType::kString ? "number" : "string")};
 }
 
 /// `column [NOT] IN (literal, ...)` on a dictionary view, as a one-byte-per-
@@ -732,24 +673,16 @@ std::vector<ChunkOffset> TableScan::ScanChunk(const std::shared_ptr<const Table>
             ScanDictionaryColumns<C>(*left_segment, *right_segment, spec.condition, matches)) {
           return;
         }
-        // Materialize the right side once, then stream the left.
-        const auto size = right_segment->size();
-        auto right_values = std::vector<C>(size);
-        auto right_nulls = std::vector<bool>(size, false);
-        IterateAs<C>(*right_segment, [&](const auto& position) {
-          if (position.is_null()) {
-            right_nulls[position.chunk_offset()] = true;
-          } else {
-            right_values[position.chunk_offset()] = position.value();
-          }
-        });
+        const auto left = DecodeSegmentAs<C>(*left_segment);
+        const auto right = DecodeSegmentAs<C>(*right_segment);
+        const auto size = std::min(left.values.size(), right.values.size());
         WithComparator(spec.condition, [&](const auto comparator) {
-          IterateAs<C>(*left_segment, [&](const auto& position) {
-            const auto offset = position.chunk_offset();
-            if (!position.is_null() && !right_nulls[offset] && comparator(position.value(), right_values[offset])) {
-              matches.push_back(offset);
+          for (auto offset = size_t{0}; offset < size; ++offset) {
+            if (!left.IsNull(offset) && !right.IsNull(offset) &&
+                comparator(left.values[offset], right.values[offset])) {
+              matches.push_back(static_cast<ChunkOffset>(offset));
             }
-          });
+          }
         });
       });
       return matches;

@@ -17,7 +17,7 @@ class Table;
 
 /// TableScan's kernel for a literal predicate typed by TypePredicateLiteral:
 /// appends the offsets of matching rows of `segment` (a T column). A type
-/// mismatch fails the statement (std::invalid_argument).
+/// mismatch fails the statement (DataTypeMismatch).
 template <typename T>
 void ScanSegmentForLiteral(const AbstractSegment& segment, const TypedPredicate<T>& predicate,
                            std::vector<ChunkOffset>& matches);

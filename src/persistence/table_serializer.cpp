@@ -12,6 +12,7 @@
 #include "storage/dictionary_segment.hpp"
 #include "storage/frame_of_reference_segment.hpp"
 #include "storage/run_length_segment.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 #include "storage/vector_compression/compressed_vector_utils.hpp"
@@ -282,21 +283,16 @@ std::shared_ptr<AbstractSegment> ReadSegment(BinaryReader& reader, ChunkOffset r
 template <typename T>
 std::shared_ptr<AbstractSegment> FilterAndReencode(const AbstractSegment& segment,
                                                    const std::vector<ChunkOffset>& visible, DataType data_type) {
+  auto decoded = DecodeSegmentAs<T>(segment);
   auto values = std::vector<T>{};
   auto nulls = std::vector<bool>{};
   values.reserve(visible.size());
   nulls.reserve(visible.size());
   auto any_null = false;
   for (const auto offset : visible) {
-    const auto variant = segment[offset];
-    if (VariantIsNull(variant)) {
-      values.emplace_back();
-      nulls.push_back(true);
-      any_null = true;
-    } else {
-      values.push_back(VariantCast<T>(variant));
-      nulls.push_back(false);
-    }
+    values.push_back(std::move(decoded.values[offset]));
+    nulls.push_back(decoded.IsNull(offset));
+    any_null = any_null || decoded.IsNull(offset);
   }
   auto value_segment =
       std::make_shared<ValueSegment<T>>(std::move(values), any_null ? std::move(nulls) : std::vector<bool>{});

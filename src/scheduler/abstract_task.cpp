@@ -1,5 +1,7 @@
 #include "scheduler/abstract_task.hpp"
 
+#include <utility>
+
 #include "hyrise.hpp"
 #include "scheduler/abstract_scheduler.hpp"
 #include "utils/assert.hpp"
@@ -61,7 +63,12 @@ void AbstractTask::Execute() {
 void AbstractTask::RethrowTaskFailure(const std::vector<std::shared_ptr<AbstractTask>>& tasks) {
   for (const auto& task : tasks) {
     if (task->exception_) {
-      std::rethrow_exception(task->exception_);
+      // Hand the exception over, so that its last reference drops on this
+      // thread. Dropped by a pool worker releasing the task, the exception
+      // would be destroyed after this thread's reads ordered only by
+      // exception_ptr's reference count inside uninstrumented libstdc++,
+      // which ThreadSanitizer reports as a data race.
+      std::rethrow_exception(std::exchange(task->exception_, nullptr));
     }
   }
 }

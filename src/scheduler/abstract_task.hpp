@@ -51,9 +51,9 @@ class AbstractTask : public std::enable_shared_from_this<AbstractTask> {
     return exception_;
   }
 
-  /// Rethrows the first captured exception among `tasks`, if any. Call after
-  /// all tasks finished — the waiting thread, not a pool worker, must see the
-  /// failure.
+  /// Rethrows the first captured exception among `tasks`, if any, and clears
+  /// it from its task. Call after all tasks finished — the waiting thread,
+  /// not a pool worker, must see the failure.
   static void RethrowTaskFailure(const std::vector<std::shared_ptr<AbstractTask>>& tasks);
 
   /// Hands the task to the current scheduler (it runs once all predecessors

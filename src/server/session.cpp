@@ -704,6 +704,7 @@ void Session::ExecuteStatement(const std::string& sql, const std::vector<AllType
   // ErrorResponse on this connection, never a dead process.
   auto status = SqlPipelineStatus::kFailure;
   auto error_message = std::string{};
+  auto sqlstate = std::string{};
   auto result_table = std::shared_ptr<const Table>{};
   auto metrics = SqlPipelineMetrics{};
   try {
@@ -716,6 +717,7 @@ void Session::ExecuteStatement(const std::string& sql, const std::vector<AllType
     status = pipeline.Execute();
     transaction_ = pipeline.transaction_context();
     error_message = pipeline.error_message();
+    sqlstate = pipeline.sqlstate();
     result_table = pipeline.result_table();
     metrics = pipeline.metrics();
   } catch (const std::exception& exception) {
@@ -744,7 +746,9 @@ void Session::ExecuteStatement(const std::string& sql, const std::vector<AllType
 
   if (status != SqlPipelineStatus::kSuccess) {
     stats_->statements_failed.fetch_add(1, std::memory_order_relaxed);
-    auto sqlstate = std::string{"42601"};
+    if (sqlstate.empty()) {
+      sqlstate = "42601";
+    }
     auto message = error_message;
     if (status == SqlPipelineStatus::kRolledBack) {
       sqlstate = "40001";

@@ -237,36 +237,45 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
   }
 
   if (!pqp) {
-    timer.Lap();
-    auto translator = SqlTranslator{use_mvcc_};
-    auto lqp_result = translator.Translate(statement);
-    metrics_.translate_ns += timer.Lap();
-    if (!lqp_result.ok()) {
-      error_message_ = lqp_result.error();
+    // Planning types the statement's expressions: a string combined with a
+    // number fails it here already.
+    try {
+      timer.Lap();
+      auto translator = SqlTranslator{use_mvcc_};
+      auto lqp_result = translator.Translate(statement);
+      metrics_.translate_ns += timer.Lap();
+      if (!lqp_result.ok()) {
+        error_message_ = lqp_result.error();
+        abort_statement();
+        return StatementOutcome::kError;
+      }
+      unoptimized_lqp_ = lqp_result.value();
+
+      auto lqp = unoptimized_lqp_;
+      if (optimizer_) {
+        // The optimizer consumes the plan; keep the unoptimized one for
+        // inspection via a copy.
+        unoptimized_lqp_ = lqp->DeepCopy();
+        lqp = optimizer_->Optimize(std::move(lqp));
+      }
+      optimized_lqp_ = lqp;
+      metrics_.optimize_ns += timer.Lap();
+
+      auto lqp_translator = LqpTranslator{};
+      auto pqp_result = lqp_translator.Translate(lqp);
+      metrics_.lqp_translate_ns += timer.Lap();
+      if (!pqp_result.ok()) {
+        error_message_ = pqp_result.error();
+        abort_statement();
+        return StatementOutcome::kError;
+      }
+      pqp = pqp_result.value();
+    } catch (const DataTypeMismatch& mismatch) {
+      error_message_ = mismatch.what();
+      sqlstate_ = "42883";
       abort_statement();
       return StatementOutcome::kError;
     }
-    unoptimized_lqp_ = lqp_result.value();
-
-    auto lqp = unoptimized_lqp_;
-    if (optimizer_) {
-      // The optimizer consumes the plan; keep the unoptimized one for
-      // inspection via a copy.
-      unoptimized_lqp_ = lqp->DeepCopy();
-      lqp = optimizer_->Optimize(std::move(lqp));
-    }
-    optimized_lqp_ = lqp;
-    metrics_.optimize_ns += timer.Lap();
-
-    auto lqp_translator = LqpTranslator{};
-    auto pqp_result = lqp_translator.Translate(lqp);
-    metrics_.lqp_translate_ns += timer.Lap();
-    if (!pqp_result.ok()) {
-      error_message_ = pqp_result.error();
-      abort_statement();
-      return StatementOutcome::kError;
-    }
-    pqp = pqp_result.value();
 
     if (pqp_cache_ && single_statement) {
       pqp_cache_->Set(sql_, CachedPlan{pqp->DeepCopy(), RecordSchemaEpochs(*pqp)});
@@ -324,6 +333,9 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
     metrics_.execute_ns += timer.Lap();
     abort_statement();
     error_message_ = std::string{"Statement execution failed: "} + exception.what();
+    if (dynamic_cast<const DataTypeMismatch*>(&exception) != nullptr) {
+      sqlstate_ = "42883";
+    }
     return StatementOutcome::kError;
   }
   metrics_.execute_ns += timer.Lap();

@@ -76,6 +76,12 @@ class SqlPipeline {
     return error_message_;
   }
 
+  /// The SQLSTATE of a failure classified where it was raised (42883: a
+  /// string compared with a number); empty for any other outcome.
+  const std::string& sqlstate() const {
+    return sqlstate_;
+  }
+
   const SqlPipelineMetrics& metrics() const {
     return metrics_;
   }
@@ -130,6 +136,7 @@ class SqlPipeline {
 
   std::vector<std::shared_ptr<const Table>> result_tables_;
   std::string error_message_;
+  std::string sqlstate_;
   SqlPipelineMetrics metrics_;
   LqpNodePtr unoptimized_lqp_;
   LqpNodePtr optimized_lqp_;

@@ -7,6 +7,7 @@
 #include "storage/dictionary_segment.hpp"
 #include "storage/frame_of_reference_segment.hpp"
 #include "storage/run_length_segment.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 #include "storage/vector_compression/compressed_vector_utils.hpp"
@@ -14,38 +15,16 @@
 
 namespace hyrise {
 
-template <typename T>
-std::pair<std::vector<T>, std::vector<bool>> MaterializeSegment(const AbstractSegment& segment) {
-  const auto segment_size = segment.size();
-  auto values = std::vector<T>(segment_size);
-  auto nulls = std::vector<bool>(segment_size, false);
-  for (auto offset = ChunkOffset{0}; offset < segment_size; ++offset) {
-    const auto variant = segment[offset];
-    if (VariantIsNull(variant)) {
-      nulls[offset] = true;
-    } else {
-      values[offset] = std::get<T>(variant);
-    }
-  }
-  return {std::move(values), std::move(nulls)};
-}
-
-template std::pair<std::vector<int32_t>, std::vector<bool>> MaterializeSegment<int32_t>(const AbstractSegment&);
-template std::pair<std::vector<int64_t>, std::vector<bool>> MaterializeSegment<int64_t>(const AbstractSegment&);
-template std::pair<std::vector<float>, std::vector<bool>> MaterializeSegment<float>(const AbstractSegment&);
-template std::pair<std::vector<double>, std::vector<bool>> MaterializeSegment<double>(const AbstractSegment&);
-template std::pair<std::vector<std::string>, std::vector<bool>> MaterializeSegment<std::string>(
-    const AbstractSegment&);
-
 namespace {
 
 template <typename T>
-std::shared_ptr<AbstractSegment> EncodeDictionary(const std::vector<T>& values, const std::vector<bool>& nulls,
+std::shared_ptr<AbstractSegment> EncodeDictionary(const MaterializedColumn<T>& column,
                                                   VectorCompressionType vector_compression) {
+  const auto& values = column.values;
   auto dictionary = std::vector<T>{};
   dictionary.reserve(values.size());
   for (auto index = size_t{0}; index < values.size(); ++index) {
-    if (!nulls[index]) {
+    if (!column.IsNull(index)) {
       dictionary.push_back(values[index]);
     }
   }
@@ -56,7 +35,7 @@ std::shared_ptr<AbstractSegment> EncodeDictionary(const std::vector<T>& values, 
   const auto null_value_id = static_cast<uint32_t>(dictionary.size());
   auto codes = std::vector<uint32_t>(values.size());
   for (auto index = size_t{0}; index < values.size(); ++index) {
-    if (nulls[index]) {
+    if (column.IsNull(index)) {
       codes[index] = null_value_id;
     } else {
       const auto iter = std::lower_bound(dictionary.begin(), dictionary.end(), values[index]);
@@ -70,13 +49,14 @@ std::shared_ptr<AbstractSegment> EncodeDictionary(const std::vector<T>& values, 
 }
 
 template <typename T>
-std::shared_ptr<AbstractSegment> EncodeRunLength(const std::vector<T>& values, const std::vector<bool>& nulls) {
+std::shared_ptr<AbstractSegment> EncodeRunLength(const MaterializedColumn<T>& column) {
+  const auto& values = column.values;
   auto run_values = std::make_shared<std::vector<T>>();
   auto run_is_null = std::make_shared<std::vector<bool>>();
   auto end_positions = std::make_shared<std::vector<ChunkOffset>>();
 
   for (auto index = size_t{0}; index < values.size(); ++index) {
-    const auto is_null = static_cast<bool>(nulls[index]);
+    const auto is_null = column.IsNull(index);
     const auto starts_new_run = run_values->empty() || is_null != run_is_null->back() ||
                                 (!is_null && values[index] != run_values->back());
     if (starts_new_run) {
@@ -93,8 +73,9 @@ std::shared_ptr<AbstractSegment> EncodeRunLength(const std::vector<T>& values, c
 }
 
 template <typename T>
-std::shared_ptr<AbstractSegment> EncodeFrameOfReference(const std::vector<T>& values, const std::vector<bool>& nulls,
+std::shared_ptr<AbstractSegment> EncodeFrameOfReference(const MaterializedColumn<T>& column,
                                                         VectorCompressionType vector_compression) {
+  const auto& values = column.values;
   constexpr auto kBlockSize = static_cast<size_t>(FrameOfReferenceSegment<T>::kBlockSize);
 
   const auto block_count = (values.size() + kBlockSize - 1) / kBlockSize;
@@ -109,7 +90,7 @@ std::shared_ptr<AbstractSegment> EncodeFrameOfReference(const std::vector<T>& va
     auto minimum = std::numeric_limits<T>::max();
     auto has_value = false;
     for (auto index = begin; index < end; ++index) {
-      if (!nulls[index]) {
+      if (!column.IsNull(index)) {
         minimum = std::min(minimum, values[index]);
         has_value = true;
       }
@@ -120,7 +101,7 @@ std::shared_ptr<AbstractSegment> EncodeFrameOfReference(const std::vector<T>& va
     block_minima[block] = minimum;
 
     for (auto index = begin; index < end; ++index) {
-      if (nulls[index]) {
+      if (column.IsNull(index)) {
         offsets[index] = 0;
         continue;
       }
@@ -133,10 +114,9 @@ std::shared_ptr<AbstractSegment> EncodeFrameOfReference(const std::vector<T>& va
     }
   }
 
-  const auto has_nulls = std::find(nulls.begin(), nulls.end(), true) != nulls.end();
   auto offset_vector = CompressVector(offsets, vector_compression, max_offset);
   return std::make_shared<FrameOfReferenceSegment<T>>(std::move(block_minima), std::move(offset_vector),
-                                                      has_nulls ? nulls : std::vector<bool>{});
+                                                      column.nulls);
 }
 
 }  // namespace
@@ -146,31 +126,28 @@ std::shared_ptr<AbstractSegment> ChunkEncoder::EncodeSegment(const std::shared_p
   auto result = std::shared_ptr<AbstractSegment>{};
   ResolveDataType(data_type, [&](auto type_tag) {
     using ColumnDataType = decltype(type_tag);
-    auto [values, nulls] = MaterializeSegment<ColumnDataType>(*segment);
+    auto column = DecodeSegmentAs<ColumnDataType>(*segment);
 
     switch (spec.encoding_type) {
-      case EncodingType::kUnencoded: {
-        const auto has_nulls = std::find(nulls.begin(), nulls.end(), true) != nulls.end();
-        result = std::make_shared<ValueSegment<ColumnDataType>>(std::move(values),
-                                                                has_nulls ? std::move(nulls) : std::vector<bool>{});
+      case EncodingType::kUnencoded:
+        result = std::make_shared<ValueSegment<ColumnDataType>>(std::move(column.values), std::move(column.nulls));
         return;
-      }
       case EncodingType::kDictionary:
-        result = EncodeDictionary<ColumnDataType>(values, nulls, spec.vector_compression);
+        result = EncodeDictionary(column, spec.vector_compression);
         return;
       case EncodingType::kRunLength:
-        result = EncodeRunLength<ColumnDataType>(values, nulls);
+        result = EncodeRunLength(column);
         return;
       case EncodingType::kFrameOfReference: {
         if constexpr (std::is_same_v<ColumnDataType, int32_t> || std::is_same_v<ColumnDataType, int64_t>) {
-          result = EncodeFrameOfReference<ColumnDataType>(values, nulls, spec.vector_compression);
+          result = EncodeFrameOfReference(column, spec.vector_compression);
           if (result) {
             return;
           }
         }
         // Unsupported type or offsets out of range: dictionary is the
         // general-purpose fallback.
-        result = EncodeDictionary<ColumnDataType>(values, nulls, spec.vector_compression);
+        result = EncodeDictionary(column, spec.vector_compression);
         return;
       }
     }

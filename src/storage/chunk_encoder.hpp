@@ -36,11 +36,6 @@ class ChunkEncoder {
   static void EncodeAllChunks(const std::shared_ptr<Table>& table, const std::vector<SegmentEncodingSpec>& specs);
 };
 
-/// Materializes any segment into plain value/null vectors. Shared by encoders
-/// and tests.
-template <typename T>
-std::pair<std::vector<T>, std::vector<bool>> MaterializeSegment(const AbstractSegment& segment);
-
 }  // namespace hyrise
 
 #endif  // HYRISE_SRC_STORAGE_CHUNK_ENCODER_HPP_

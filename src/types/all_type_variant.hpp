@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <variant>
 
@@ -15,6 +16,13 @@ namespace hyrise {
 /// supported types is centrally defined and code for it is generated —
 /// here via ResolveDataType below instead of Boost.Hana).
 enum class DataType : uint8_t { kNull, kInt, kLong, kFloat, kDouble, kString };
+
+/// A string compared or combined with a number. Fails the statement with
+/// SQLSTATE 42883 (undefined_function), never the process.
+class DataTypeMismatch : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 /// Untyped value used on slow paths (row materialization, expression
 /// fallbacks, test utilities). The first alternative is NullValue so that a
@@ -123,8 +131,8 @@ std::string VariantToString(const AllTypeVariant& variant);
 std::ostream& operator<<(std::ostream& stream, const AllTypeVariant& variant);
 
 /// Total order over variants of possibly different numeric types; strings
-/// compare with strings only. NULL sorts first. Used by tests and the Sort
-/// operator's comparator on untyped rows.
+/// compare with strings only. NULL sorts first. Used by tests to sort
+/// result rows; operators compare typed values.
 bool VariantLessThan(const AllTypeVariant& lhs, const AllTypeVariant& rhs);
 
 /// Equality with numeric type coercion (1 == int64_t{1} == 1.0f).

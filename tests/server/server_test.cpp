@@ -115,17 +115,38 @@ TEST_F(ServerTest, StringAgainstIntColumnFailsTheStatementNotTheConnection) {
     EXPECT_EQ(PgClient::DataRows(*answer).size(), 1u);
   };
 
-  for (const auto* sql : {"SELECT a FROM t WHERE a = '10'", "SELECT a FROM t WHERE a = b"}) {
-    const auto messages = client.Query(sql);
-    ASSERT_TRUE(messages.has_value());
-    EXPECT_NE(PgClient::FindType(*messages, 'E'), nullptr) << sql;
+  // SQLSTATE 42883 (undefined_function): no operator compares a string with
+  // a number.
+  const auto expect_type_mismatch = [](const std::optional<std::vector<PgClient::WireMessage>>& messages,
+                                       const std::string& sql) {
+    ASSERT_TRUE(messages.has_value()) << sql;
+    const auto* error = PgClient::FindType(*messages, 'E');
+    ASSERT_NE(error, nullptr) << sql;
+    EXPECT_NE(error->payload.find("C42883"), std::string::npos) << sql << ": " << error->payload;
+  };
+
+  for (const auto* sql : {"SELECT a FROM t WHERE a = '10'", "SELECT a FROM t WHERE a IN ('x', 'y')",
+                          "SELECT a FROM t WHERE a = b",
+                          // Join predicates: a secondary `<` and `=` beside an
+                          // equi-join key, and a nested-loop primary `<`.
+                          "SELECT * FROM t t1 JOIN t t2 ON t1.a = t2.a AND t1.a < t2.b",
+                          "SELECT * FROM t t1 JOIN t t2 ON t1.a = t2.a AND t1.a = t2.b",
+                          "SELECT * FROM t t1 JOIN t t2 ON t1.a < t2.b",
+                          // Typed while planning, before any operator runs.
+                          "SELECT 1 + 'a'"}) {
+    expect_type_mismatch(client.Query(sql), sql);
     expect_connection_answers();
   }
 
+  // A failed CAST also throws std::invalid_argument, but is no type mismatch.
+  const auto cast = client.Query("SELECT CAST('abc' AS INT)");
+  ASSERT_TRUE(cast.has_value());
+  ASSERT_NE(PgClient::FindType(*cast, 'E'), nullptr);
+  EXPECT_EQ(PgClient::FindType(*cast, 'E')->payload.find("C42883"), std::string::npos);
+  expect_connection_answers();
+
   // An untyped $1 whose text is no number is bound as a string.
-  const auto messages = client.ExtendedQuery("SELECT a FROM t WHERE a = $1", {std::string{"abc"}});
-  ASSERT_TRUE(messages.has_value());
-  EXPECT_NE(PgClient::FindType(*messages, 'E'), nullptr);
+  expect_type_mismatch(client.ExtendedQuery("SELECT a FROM t WHERE a = $1", {std::string{"abc"}}), "$1 = 'abc'");
   expect_connection_answers();
 }
 
