@@ -13,10 +13,9 @@
 /// LIKE pattern of '%' and literal text on such an input, and column against
 /// column on a selective scan's output over two mostly unique columns (few
 /// rows against large dictionaries: compared per row, not rank-merged). Their
-/// baseline is
-/// the former per-element path: std::string values through the segment
-/// iterators (a materialized right side, a hash-set probe, the backtracking
-/// LIKE matcher).
+/// baseline is the former per-element path: the column decoded into
+/// std::string values (DecodeSegmentAs), then a string compare, a hash-set
+/// probe or the backtracking LIKE matcher per row.
 ///
 /// Emits BENCH_scan.json so the scan-perf trajectory is machine-readable:
 ///   { "configs": [ {rows, encoding, vector_compression, predicate,
@@ -45,7 +44,7 @@
 #include "storage/dictionary_segment.hpp"
 #include "storage/frame_of_reference_segment.hpp"
 #include "storage/run_length_segment.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 #include "storage/vector_compression/compressed_vector_utils.hpp"
@@ -334,50 +333,55 @@ std::shared_ptr<TableWrapper> MakeStringTable(size_t row_count) {
   return wrapper;
 }
 
-/// The former column-against-column scan: the right side materialized as
-/// std::strings, the left streamed through the segment iterators.
+/// The former column-against-column scan: both sides decoded as std::strings,
+/// then compared row by row.
 template <uint16_t kLeft, uint16_t kRight>
 void LegacyColumnLess(const std::shared_ptr<const Table>& table, ChunkID chunk_id, std::vector<ChunkOffset>& matches) {
   const auto chunk = table->GetChunk(chunk_id);
-  auto right = std::vector<std::string>(chunk->size());
-  SegmentIterate<std::string>(*chunk->GetSegment(ColumnID{kRight}), [&](const auto& position) {
-    right[position.chunk_offset()] = position.value();
-  });
-  SegmentIterate<std::string>(*chunk->GetSegment(ColumnID{kLeft}), [&](const auto& position) {
-    if (!position.is_null() && position.value() < right[position.chunk_offset()]) {
-      matches.push_back(position.chunk_offset());
+  const auto right = DecodeSegmentAs<std::string>(*chunk->GetSegment(ColumnID{kRight}));
+  const auto left = DecodeSegmentAs<std::string>(*chunk->GetSegment(ColumnID{kLeft}));
+  for (auto row = size_t{0}; row < left.values.size(); ++row) {
+    if (!left.IsNull(row) && left.values[row] < right.values[row]) {
+      matches.push_back(static_cast<ChunkOffset>(row));
     }
-  });
+  }
+}
+
+/// Calls `predicate(value)` for every non-NULL row of a decoded string
+/// column and appends the matching rows: the former per-row string scans.
+template <typename Predicate>
+void LegacyStringScan(const std::shared_ptr<const Table>& table, ChunkID chunk_id, ColumnID column_id,
+                      const Predicate& predicate, std::vector<ChunkOffset>& matches) {
+  const auto decoded = DecodeSegmentAs<std::string>(*table->GetChunk(chunk_id)->GetSegment(column_id));
+  for (auto row = size_t{0}; row < decoded.values.size(); ++row) {
+    if (!decoded.IsNull(row) && predicate(decoded.values[row])) {
+      matches.push_back(static_cast<ChunkOffset>(row));
+    }
+  }
 }
 
 /// The former IN evaluation: every value probed in a hash set of the list.
 void LegacyModeIn(const std::shared_ptr<const Table>& table, ChunkID chunk_id, std::vector<ChunkOffset>& matches) {
   static const auto kList = std::unordered_set<std::string>{"MAIL", "SHIP"};
-  SegmentIterate<std::string>(*table->GetChunk(chunk_id)->GetSegment(ColumnID{3}), [&](const auto& position) {
-    if (!position.is_null() && kList.contains(position.value())) {
-      matches.push_back(position.chunk_offset());
-    }
-  });
+  LegacyStringScan(table, chunk_id, ColumnID{3}, [](const std::string& value) {
+    return kList.contains(value);
+  }, matches);
 }
 
 /// The former literal scan on reference segments: one std::string per row.
 void LegacyDateLess(const std::shared_ptr<const Table>& table, ChunkID chunk_id, std::vector<ChunkOffset>& matches) {
   const auto bound = std::string{"1995-01-01"};
-  SegmentIterate<std::string>(*table->GetChunk(chunk_id)->GetSegment(ColumnID{1}), [&](const auto& position) {
-    if (!position.is_null() && position.value() < bound) {
-      matches.push_back(position.chunk_offset());
-    }
-  });
+  LegacyStringScan(table, chunk_id, ColumnID{1}, [&](const std::string& value) {
+    return value < bound;
+  }, matches);
 }
 
 /// The former LIKE on reference segments: the backtracking matcher per row.
 void LegacyCommentNotLike(const std::shared_ptr<const Table>& table, ChunkID chunk_id,
                           std::vector<ChunkOffset>& matches) {
-  SegmentIterate<std::string>(*table->GetChunk(chunk_id)->GetSegment(ColumnID{4}), [&](const auto& position) {
-    if (!position.is_null() && !LikeMatcher::MatchesWithBacktracking("%special%requests%", position.value())) {
-      matches.push_back(position.chunk_offset());
-    }
-  });
+  LegacyStringScan(table, chunk_id, ColumnID{4}, [](const std::string& value) {
+    return !LikeMatcher::MatchesWithBacktracking("%special%requests%", value);
+  }, matches);
 }
 
 struct StringScanRow {

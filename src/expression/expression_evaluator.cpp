@@ -1,12 +1,14 @@
 #include "expression/expression_evaluator.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <string_view>
 #include <unordered_set>
 
 #include "expression/expression_utils.hpp"
 #include "expression/like_matcher.hpp"
 #include "operators/abstract_operator.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 #include "utils/assert.hpp"
@@ -14,6 +16,28 @@
 namespace hyrise {
 
 namespace {
+
+/// Reads `text`, blanks around it allowed, as a T — how CAST and EXTRACT
+/// read numbers from strings. Text that is no T throws DataError with
+/// `sqlstate`; a number outside T's range throws 22003.
+template <typename T>
+T ParseNumber(const std::string& text, const char* sqlstate) {
+  auto view = std::string_view{text};
+  view.remove_prefix(std::min(view.find_first_not_of(' '), view.size()));
+  view.remove_suffix(view.size() - (view.find_last_not_of(' ') + 1));
+  if (view.size() > 1 && view[0] == '+' && view[1] != '-') {
+    view.remove_prefix(1);  // from_chars reads no plus sign.
+  }
+  auto value = T{};
+  const auto [end, error] = std::from_chars(view.data(), view.data() + view.size(), value);
+  if (error != std::errc{} || end != view.data() + view.size()) {
+    const auto out_of_range = error == std::errc::result_out_of_range;
+    throw DataError{std::string{out_of_range ? "Value out of range" : "Invalid input"} + " for type " +
+                        DataTypeToString(DataTypeOf<T>()) + ": '" + text + "'",
+                    out_of_range ? "22003" : sqlstate};
+  }
+  return value;
+}
 
 /// Output size of combining results (literals broadcast).
 size_t CombinedSize(size_t lhs, size_t rhs) {
@@ -244,19 +268,13 @@ std::shared_ptr<ExpressionResult<T>> ExpressionEvaluator::EvaluateColumn(const P
   const auto segment = chunk_->GetSegment(column.column_id);
   Assert(segment->data_type() == DataTypeOf<T>(), "Column type mismatch for " + column.Description());
 
-  auto values = std::vector<T>(row_count_);
-  auto nulls = std::vector<bool>{};
-  SegmentIterate<T>(*segment, [&](const auto& position) {
-    if (position.is_null()) {
-      if (nulls.empty()) {
-        nulls.assign(row_count_, false);
-      }
-      nulls[position.chunk_offset()] = true;
-    } else {
-      values[position.chunk_offset()] = position.value();
-    }
-  });
-  auto result = std::make_shared<ExpressionResult<T>>(std::move(values), std::move(nulls));
+  auto decoded = DecodeSegmentAs<T>(*segment);
+  // A mutable chunk's segment may have grown since row_count_ was read.
+  decoded.values.resize(row_count_);
+  if (!decoded.nulls.empty()) {
+    decoded.nulls.resize(row_count_);
+  }
+  auto result = std::make_shared<ExpressionResult<T>>(std::move(decoded.values), std::move(decoded.nulls));
   column_cache_.emplace(column.column_id, result);
   return result;
 }
@@ -448,20 +466,14 @@ std::shared_ptr<ExpressionResult<int32_t>> ExpressionEvaluator::EvaluateIn(const
       const auto chunk_count = subquery_table->chunk_count();
       for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
         const auto segment = subquery_table->GetChunk(chunk_id)->GetSegment(ColumnID{0});
-        ResolveDataType(segment->data_type(), [&](auto subquery_tag) {
-          using U = decltype(subquery_tag);
-          SegmentIterate<U>(*segment, [&](const auto& position) {
-            if (position.is_null()) {
-              set_contains_null = true;
-            } else if constexpr (std::is_same_v<U, S>) {
-              set.insert(position.value());
-            } else if constexpr (std::is_arithmetic_v<U> && std::is_arithmetic_v<S>) {
-              set.insert(static_cast<S>(position.value()));
-            } else {
-              Fail("IN subquery type mismatch");
-            }
-          });
-        });
+        const auto decoded = DecodeSegmentAs<S>(*segment);
+        for (auto row = size_t{0}; row < decoded.values.size(); ++row) {
+          if (decoded.IsNull(row)) {
+            set_contains_null = true;
+          } else {
+            set.insert(decoded.values[row]);
+          }
+        }
       }
     }
 
@@ -603,11 +615,7 @@ std::shared_ptr<ExpressionResult<T>> ExpressionEvaluator::EvaluateCast(const Cas
       } else if constexpr (std::is_same_v<T, std::string>) {
         values[row] = VariantToString(AllTypeVariant{value});
       } else if constexpr (std::is_same_v<S, std::string>) {
-        if constexpr (std::is_integral_v<T>) {
-          values[row] = static_cast<T>(std::stoll(value));
-        } else {
-          values[row] = static_cast<T>(std::stod(value));
-        }
+        values[row] = ParseNumber<T>(value, "22P02");  // invalid_text_representation
       }
     }
     result = std::make_shared<ExpressionResult<T>>(std::move(values), source->nulls);
@@ -680,7 +688,7 @@ std::shared_ptr<ExpressionResult<int32_t>> ExpressionEvaluator::EvaluateFunction
       any_null = true;
       continue;
     }
-    out[row] = std::stoi(values->Value(row).substr(offset, length));
+    out[row] = ParseNumber<int32_t>(values->Value(row).substr(offset, length), "22007");  // invalid_datetime_format
   }
   if (!any_null) {
     nulls.clear();

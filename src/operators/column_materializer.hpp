@@ -27,13 +27,13 @@ inline std::vector<std::pair<size_t, size_t>> ChunkRowRanges(const Table& table)
   return ranges;
 }
 
-namespace detail {
-
-/// Shared body of MaterializeColumn/MaterializeColumnAs: reads the segments
-/// as their stored type T and writes values of type K, casting inside the
-/// per-chunk job so promoted values are written exactly once.
-template <typename K, typename T>
-MaterializedColumn<K> MaterializeColumnCasting(const Table& table, ColumnID column_id) {
+/// Materializes a column as K: its own type, or any arithmetic type when the
+/// column is arithmetic too (the joins' promoted keys and predicate
+/// columns). Values are cast inside the per-chunk decode jobs, so promoted
+/// values are written exactly once. Fails for string as arithmetic or vice
+/// versa.
+template <typename K>
+MaterializedColumn<K> MaterializeColumnAs(const Table& table, ColumnID column_id) {
   auto materialized = MaterializedColumn<K>{};
   const auto row_count = table.row_count();
   materialized.values.resize(row_count);
@@ -52,7 +52,7 @@ MaterializedColumn<K> MaterializeColumnCasting(const Table& table, ColumnID colu
     jobs.push_back(
         std::make_shared<JobTask>([segment, base, &values = materialized.values,
                                    &null_rows = null_rows_per_chunk[chunk_id]] {
-          DecodeSegment<K, T>(*segment, base, values, null_rows);
+          DecodeSegmentAs<K>(*segment, base, values, null_rows);
         }));
     base += chunk->size();
   }
@@ -64,30 +64,9 @@ MaterializedColumn<K> MaterializeColumnCasting(const Table& table, ColumnID colu
   return materialized;
 }
 
-}  // namespace detail
-
 template <typename T>
 MaterializedColumn<T> MaterializeColumn(const Table& table, ColumnID column_id) {
-  return detail::MaterializeColumnCasting<T, T>(table, column_id);
-}
-
-/// Materializes a column of any arithmetic type as the (promoted) type K —
-/// the joins' keys and predicate columns. Fails for unsupported combinations
-/// (string as arithmetic or vice versa).
-template <typename K>
-MaterializedColumn<K> MaterializeColumnAs(const Table& table, ColumnID column_id) {
-  auto materialized = MaterializedColumn<K>{};
-  ResolveDataType(table.column_data_type(column_id), [&](auto column_tag) {
-    using T = decltype(column_tag);
-    if constexpr (std::is_same_v<T, K>) {
-      materialized = detail::MaterializeColumnCasting<K, K>(table, column_id);
-    } else if constexpr (std::is_arithmetic_v<T> && std::is_arithmetic_v<K>) {
-      materialized = detail::MaterializeColumnCasting<K, T>(table, column_id);
-    } else {
-      Fail("Column type cannot be materialized as the requested key type");
-    }
-  });
-  return materialized;
+  return MaterializeColumnAs<T>(table, column_id);
 }
 
 }  // namespace hyrise

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 #include "utils/assert.hpp"
@@ -93,6 +93,7 @@ void FusedScanAggregate(const Table& table, const std::array<ColumnID, N>& colum
   const auto chunk_count = table.chunk_count();
   Assert(layout.access.size() == chunk_count, "FusedPipelineLayout is stale: re-probe after table changes");
   auto null_mask = std::vector<uint8_t>{};
+  auto null_rows = std::vector<size_t>{};
   for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
     const auto chunk = table.GetChunk(chunk_id);
     const auto chunk_size = chunk->size();
@@ -112,24 +113,16 @@ void FusedScanAggregate(const Table& table, const std::array<ColumnID, N>& colum
         column_data[index] = static_cast<const ValueSegment<T>&>(*segment).values().data();
         continue;
       }
+      // NULL rows keep the T{} that resize wrote.
       decoded[index].resize(chunk_size);
-      auto* out = decoded[index].data();
+      null_rows.clear();
+      DecodeSegment<T, T>(*segment, 0, decoded[index], null_rows);
       if (layout.nullable[index]) {
-        auto* mask = null_mask.data();
-        SegmentIterate<T>(*segment, [&](const auto& position) {
-          if (position.is_null()) {
-            mask[position.chunk_offset()] = 1;
-            out[position.chunk_offset()] = T{};
-          } else {
-            out[position.chunk_offset()] = position.value();
-          }
-        });
-      } else {
-        SegmentIterate<T>(*segment, [&](const auto& position) {
-          out[position.chunk_offset()] = position.is_null() ? T{} : position.value();
-        });
+        for (const auto row : null_rows) {
+          null_mask[row] = 1;
+        }
       }
-      column_data[index] = out;
+      column_data[index] = decoded[index].data();
     }
 
     for (auto offset = ChunkOffset{0}; offset < chunk_size; ++offset) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "storage/frame_of_reference_segment.hpp"
-#include "storage/pos_list.hpp"
 #include "storage/run_length_segment.hpp"
 #include "storage/segment_decoder.hpp"
 #include "storage/vector_compression/base_compressed_vector.hpp"
@@ -123,26 +122,6 @@ inline void ApplyNullMask(BlockMask& mask, const std::vector<bool>& nulls, size_
   }
   mask[0] &= keep[0];
   mask[1] &= keep[1];
-}
-
-/// Calls `functor(codes, count, base)` for every 128-row block of the codes
-/// at `positions`' chunk offsets (a pos list that references a single chunk
-/// of `vector`'s segment): the gather counterpart of ForEachCodeBlock, read
-/// through the vector's non-virtual decompressor.
-template <typename CompressedVectorT, typename Functor>
-void ForEachGatheredCodeBlock(const CompressedVectorT& vector, const RowIDPosList& positions,
-                              const Functor& functor) {
-  constexpr auto kBlock = BaseCompressedVector::kDecodeBlockSize;
-  const auto decompressor = vector.CreateDecompressor();
-  const auto size = positions.size();
-  alignas(64) std::array<uint32_t, kBlock> buffer;
-  for (auto base = size_t{0}; base < size; base += kBlock) {
-    const auto count = std::min(kBlock, size - base);
-    for (auto index = size_t{0}; index < count; ++index) {
-      buffer[index] = decompressor.Get(positions[base + index].chunk_offset);
-    }
-    functor(buffer.data(), count, base);
-  }
 }
 
 /// Unencoded kernel: raw values plus byte-per-row null flags (nullptr when

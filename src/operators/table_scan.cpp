@@ -12,7 +12,6 @@
 #include "scheduler/job_helpers.hpp"
 #include "utils/failure_injection.hpp"
 #include "storage/reference_segment.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
 #include "storage/table.hpp"
 #include "utils/assert.hpp"
 
@@ -128,55 +127,6 @@ ScanSpec ClassifyPredicate(const AbstractExpression& predicate) {
     default:
       return spec;
   }
-}
-
-/// A dictionary-encoded column as a scan sees it: a stored DictionarySegment
-/// (`positions` is nullptr: all its rows), or a ReferenceSegment whose pos
-/// list references a single chunk of one (row i is the code at the pos
-/// list's i-th chunk offset). All dictionary kernels consume this view, so a
-/// scan following a scan still compares value IDs (paper §2.3).
-template <typename T>
-struct DictionaryView {
-  const DictionarySegment<T>* segment{nullptr};
-  const RowIDPosList* positions{nullptr};
-  std::shared_ptr<const AbstractSegment> referenced;  // Keeps a referenced segment alive.
-};
-
-template <typename T>
-std::optional<DictionaryView<T>> ViewDictionary(const AbstractSegment& segment) {
-  if (const auto* dictionary_segment = dynamic_cast<const DictionarySegment<T>*>(&segment)) {
-    return DictionaryView<T>{dictionary_segment, nullptr, nullptr};
-  }
-  const auto* reference_segment = dynamic_cast<const ReferenceSegment*>(&segment);
-  if (!reference_segment) {
-    return std::nullopt;
-  }
-  const auto& positions = *reference_segment->pos_list();
-  if (!positions.ReferencesSingleChunk() || positions.empty()) {
-    return std::nullopt;  // Join outputs and other multi-chunk lists take the iterator scan.
-  }
-  auto referenced = std::shared_ptr<const AbstractSegment>{reference_segment->referenced_table()
-                                                               ->GetChunk(positions.CommonChunkId())
-                                                               ->GetSegment(reference_segment->referenced_column_id())};
-  const auto* dictionary_segment = dynamic_cast<const DictionarySegment<T>*>(referenced.get());
-  if (!dictionary_segment) {
-    return std::nullopt;
-  }
-  return DictionaryView<T>{dictionary_segment, &positions, std::move(referenced)};
-}
-
-/// The view's code-block source: `functor(codes, count, base)` per 128 rows,
-/// read in place or unpacked from a stored segment, or gathered at the pos
-/// list's chunk offsets.
-template <typename T, typename Functor>
-void ForEachViewCodeBlock(const DictionaryView<T>& view, const Functor& functor) {
-  ResolveCompressedVector(view.segment->attribute_vector(), [&](const auto& vector) {
-    if (view.positions) {
-      ForEachGatheredCodeBlock(vector, *view.positions, functor);
-    } else {
-      ForEachCodeBlock(vector, functor);
-    }
-  });
 }
 
 /// Appends the rows whose code satisfies `predicate` — the shared body of
@@ -400,9 +350,22 @@ void WithValuePredicate(PredicateCondition condition, const T& value, const std:
   });
 }
 
+/// The scan of inputs no kernel reads in place (reference segments other
+/// than dictionary views): decodes `segment` and appends the rows for which
+/// `predicate(is_null, value)` holds.
+template <typename T, typename Predicate>
+void ScanDecoded(const AbstractSegment& segment, const Predicate& predicate, std::vector<ChunkOffset>& matches) {
+  const auto decoded = DecodeSegmentAs<T>(segment);
+  for (auto row = size_t{0}; row < decoded.values.size(); ++row) {
+    if (predicate(decoded.IsNull(row), decoded.values[row])) {
+      matches.push_back(static_cast<ChunkOffset>(row));
+    }
+  }
+}
+
 /// IS [NOT] NULL: null flags are scanned directly (bytes, run flags, or the
 /// null value id) without touching the values at all; other reference
-/// segments take the generic iterator scan.
+/// segments are decoded first.
 template <typename T>
 void ScanNulls(const AbstractSegment& segment, bool want_null, std::vector<ChunkOffset>& matches) {
   const auto emit_all = [&](size_t size) {
@@ -467,11 +430,9 @@ void ScanNulls(const AbstractSegment& segment, bool want_null, std::vector<Chunk
       return;
     }
   }
-  SegmentIterate<T>(segment, [&](const auto& position) {
-    if (position.is_null() == want_null) {
-      matches.push_back(position.chunk_offset());
-    }
-  });
+  ScanDecoded<T>(segment, [=](bool is_null, const T& /*value*/) {
+    return is_null == want_null;
+  }, matches);
 }
 
 [[noreturn]] void ThrowTypeMismatch(DataType column_type) {
@@ -595,13 +556,10 @@ void ScanSegmentForLiteral(const AbstractSegment& segment, const TypedPredicate<
       return;
     }
   }
-  // Other reference segments: the generic iterator scan.
   WithValuePredicate<T>(condition, value, value2, [&](const auto& matches_value) {
-    SegmentIterate<T>(segment, [&](const auto& position) {
-      if (!position.is_null() && matches_value(position.value())) {
-        matches.push_back(position.chunk_offset());
-      }
-    });
+    ScanDecoded<T>(segment, [&](bool is_null, const T& candidate) {
+      return !is_null && matches_value(candidate);
+    }, matches);
   });
 }
 
@@ -656,11 +614,9 @@ std::vector<ChunkOffset> TableScan::ScanChunk(const std::shared_ptr<const Table>
         ScanDictionaryLike(*view, matcher, invert, matches);
         return matches;
       }
-      SegmentIterate<std::string>(*segment, [&](const auto& position) {
-        if (!position.is_null() && matcher.Matches(position.value()) != invert) {
-          matches.push_back(position.chunk_offset());
-        }
-      });
+      ScanDecoded<std::string>(*segment, [&](bool is_null, const std::string& candidate) {
+        return !is_null && matcher.Matches(candidate) != invert;
+      }, matches);
       return matches;
     }
     case ScanKind::kColumnVsColumn: {

@@ -89,6 +89,23 @@ class Parser {
     return error_;
   }
 
+  /// Reads the current number token as a T and advances past it. A literal
+  /// that is no T or lies outside its range is a parse error naming it.
+  template <typename T>
+  std::optional<T> ParseNumberToken() {
+    const auto& text = Current().value;
+    auto number = T{};
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), number);
+    if (error != std::errc{} || end != text.data() + text.size()) {
+      ErrorAtCurrent(std::string{error == std::errc::result_out_of_range ? "numeric literal out of range: "
+                                                                         : "invalid numeric literal: "} +
+                     text);
+      return std::nullopt;
+    }
+    Advance();
+    return number;
+  }
+
   bool ExpectOperator(const std::string& op) {
     if (MatchOperator(op)) {
       return true;
@@ -309,8 +326,10 @@ class Parser {
         ErrorAtCurrent("expected integer after LIMIT");
         return nullptr;
       }
-      select->limit = std::stoull(Current().value);
-      Advance();
+      select->limit = ParseNumberToken<uint64_t>();
+      if (!select->limit) {
+        return nullptr;
+      }
     }
     return select;
   }
@@ -804,17 +823,18 @@ class Parser {
       return literal;
     }
     if (Current().type == TokenType::kInteger) {
-      const auto number = std::stoll(Current().value);
-      Advance();
-      if (number >= std::numeric_limits<int32_t>::min() && number <= std::numeric_limits<int32_t>::max()) {
-        return MakeLiteral(AllTypeVariant{static_cast<int32_t>(number)});
+      const auto number = ParseNumberToken<int64_t>();
+      if (!number) {
+        return nullptr;
       }
-      return MakeLiteral(AllTypeVariant{static_cast<int64_t>(number)});
+      if (*number >= std::numeric_limits<int32_t>::min() && *number <= std::numeric_limits<int32_t>::max()) {
+        return MakeLiteral(AllTypeVariant{static_cast<int32_t>(*number)});
+      }
+      return MakeLiteral(AllTypeVariant{*number});
     }
     if (Current().type == TokenType::kFloat) {
-      const auto number = std::stod(Current().value);
-      Advance();
-      return MakeLiteral(AllTypeVariant{number});
+      const auto number = ParseNumberToken<double>();
+      return number ? MakeLiteral(AllTypeVariant{*number}) : nullptr;
     }
     if (MatchKeyword("NULL")) {
       return MakeLiteral(kNullVariant);

@@ -237,8 +237,9 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
   }
 
   if (!pqp) {
-    // Planning types the statement's expressions: a string combined with a
-    // number fails it here already.
+    // Planning types the statement's expressions and folds constants: a
+    // string combined with a number or a failed constant CAST fails it here
+    // already.
     try {
       timer.Lap();
       auto translator = SqlTranslator{use_mvcc_};
@@ -270,9 +271,9 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
         return StatementOutcome::kError;
       }
       pqp = pqp_result.value();
-    } catch (const DataTypeMismatch& mismatch) {
-      error_message_ = mismatch.what();
-      sqlstate_ = "42883";
+    } catch (const DataError& error) {
+      error_message_ = error.what();
+      sqlstate_ = error.sqlstate();
       abort_statement();
       return StatementOutcome::kError;
     }
@@ -333,8 +334,8 @@ SqlPipeline::StatementOutcome SqlPipeline::ExecuteStatementOnce(const sql::State
     metrics_.execute_ns += timer.Lap();
     abort_statement();
     error_message_ = std::string{"Statement execution failed: "} + exception.what();
-    if (dynamic_cast<const DataTypeMismatch*>(&exception) != nullptr) {
-      sqlstate_ = "42883";
+    if (const auto* data_error = dynamic_cast<const DataError*>(&exception)) {
+      sqlstate_ = data_error->sqlstate();
     }
     return StatementOutcome::kError;
   }

@@ -10,9 +10,9 @@
 namespace hyrise {
 
 /// A vertical partition of a chunk, holding the chunk's share of one column
-/// (paper §2.2). Virtual methods here are the *slow* path used by utilities
-/// and tests; operators access data through the statically resolved iterables
-/// in storage/segment_iterables/ instead.
+/// (paper §2.2). Virtual methods here are the *slow* path used by utilities,
+/// result rows and tests; operators read data through the statically
+/// resolved decoder in storage/segment_decoder.hpp instead.
 class AbstractSegment {
  public:
   explicit AbstractSegment(DataType data_type) : data_type_(data_type) {}

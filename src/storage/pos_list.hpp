@@ -10,14 +10,14 @@
 namespace hyrise {
 
 /// A list of row positions, produced by scans/joins and consumed by
-/// ReferenceSegments and the iterables' position-list overloads (paper §2.6:
-/// "operators ... can pass positional references to the next operator").
+/// ReferenceSegments (paper §2.6: "operators ... can pass positional
+/// references to the next operator").
 class RowIDPosList : public std::vector<RowID> {
  public:
   using std::vector<RowID>::vector;
 
-  /// Promise that all contained RowIDs share one chunk, enabling the fast
-  /// single-chunk iteration path.
+  /// Promise that all contained RowIDs share one chunk (and none is
+  /// kNullRowId), enabling the single-gather decode and dictionary-code scans.
   void GuaranteeSingleChunk() {
     references_single_chunk_ = true;
   }

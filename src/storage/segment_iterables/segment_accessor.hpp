@@ -11,11 +11,11 @@
 
 namespace hyrise {
 
-/// Virtual single-value access into a segment: one virtual call per value.
-/// This is the *dynamic polymorphism* path — the way the previous version of
-/// the system accessed data (paper Figure 3b baseline) — still used where
-/// static resolution is impossible (mixed-chunk position lists) or not worth
-/// the template instantiations.
+/// Virtual single-value access into a stored segment: one virtual call per
+/// value. This is the *dynamic polymorphism* path — the way the previous
+/// version of the system accessed data — kept only as the paper's Figure 3b
+/// baseline (bench/fig3b_polymorphism.cpp) and for the encoding round-trip
+/// test. No operator reads through it.
 template <typename T>
 class AbstractSegmentAccessor {
  public:
@@ -97,24 +97,6 @@ class FrameOfReferenceSegmentAccessor final : public AbstractSegmentAccessor<T> 
   mutable std::unique_ptr<BaseVectorDecompressor> decompressor_;
 };
 
-/// Fallback through the untyped virtual operator[] (covers ReferenceSegments).
-template <typename T>
-class GenericSegmentAccessor final : public AbstractSegmentAccessor<T> {
- public:
-  explicit GenericSegmentAccessor(const AbstractSegment& segment) : segment_(&segment) {}
-
-  std::optional<T> Access(ChunkOffset offset) const final {
-    const auto variant = (*segment_)[offset];
-    if (VariantIsNull(variant)) {
-      return std::nullopt;
-    }
-    return std::get<T>(variant);
-  }
-
- private:
-  const AbstractSegment* segment_;
-};
-
 }  // namespace detail
 
 template <typename T>
@@ -133,7 +115,7 @@ std::unique_ptr<AbstractSegmentAccessor<T>> CreateSegmentAccessor(const Abstract
       return std::make_unique<detail::FrameOfReferenceSegmentAccessor<T>>(*for_segment);
     }
   }
-  return std::make_unique<detail::GenericSegmentAccessor<T>>(segment);
+  Fail("CreateSegmentAccessor reads stored segments only");
 }
 
 }  // namespace hyrise

@@ -14,20 +14,14 @@ namespace hyrise {
 /// Offsets to visit during point-access ("positional") iteration.
 using PositionFilter = std::vector<ChunkOffset>;
 
-/// CRTP base of all segment iterables (paper §2.3). Derived classes implement
-/// OnWithIterators / OnWithPointIterators; operators call WithIterators with a
-/// functor receiving (begin, end). Both the iterators and the functor are
-/// resolved at compile time — no virtual calls inside the loop. The optional
-/// position filter selects the values to visit, e.g. the result of a previous
-/// scan.
+/// CRTP base of the stored segments' iterables (paper §2.3). Derived classes
+/// implement OnWithIterators / OnWithPointIterators; SegmentWithIterators
+/// calls WithIterators with a functor receiving (begin, end). Both the
+/// iterators and the functor are resolved at compile time — no virtual calls
+/// inside the loop. The optional position filter selects the values to visit.
 template <typename Derived>
 class SegmentIterable {
  public:
-  template <typename Functor>
-  void WithIterators(const Functor& functor) const {
-    Self().OnWithIterators(functor);
-  }
-
   template <typename Functor>
   void WithIterators(const std::shared_ptr<const PositionFilter>& position_filter, const Functor& functor) const {
     if (!position_filter) {
@@ -35,25 +29,6 @@ class SegmentIterable {
     } else {
       Self().OnWithPointIterators(*position_filter, functor);
     }
-  }
-
-  /// Convenience: calls `functor(SegmentPosition)` for every visited value.
-  template <typename Functor>
-  void ForEach(const Functor& functor) const {
-    WithIterators([&](auto iter, const auto end) {
-      for (; iter != end; ++iter) {
-        functor(*iter);
-      }
-    });
-  }
-
-  template <typename Functor>
-  void ForEach(const std::shared_ptr<const PositionFilter>& position_filter, const Functor& functor) const {
-    WithIterators(position_filter, [&](auto iter, const auto end) {
-      for (; iter != end; ++iter) {
-        functor(*iter);
-      }
-    });
   }
 
  private:

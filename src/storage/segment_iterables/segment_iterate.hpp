@@ -5,20 +5,21 @@
 
 #include "storage/segment_iterables/dictionary_segment_iterable.hpp"
 #include "storage/segment_iterables/frame_of_reference_segment_iterable.hpp"
-#include "storage/segment_iterables/reference_segment_iterable.hpp"
 #include "storage/segment_iterables/run_length_segment_iterable.hpp"
-#include "storage/segment_iterables/segment_accessor.hpp"
 #include "storage/segment_iterables/value_segment_iterable.hpp"
 #include "storage/vector_compression/compressed_vector_utils.hpp"
 #include "utils/assert.hpp"
 
 namespace hyrise {
 
-/// Resolves the concrete segment class (and, for encodings with a compressed
-/// attribute vector, the concrete vector class) and calls `functor(begin,
-/// end)` with statically typed iterators — the paper's `with_iterators`
-/// entry point for operators. `position_filter` (may be null) restricts the
-/// visited offsets; for ReferenceSegments it indexes into the position list.
+/// Resolves the concrete class of a stored segment (and, for encodings with a
+/// compressed attribute vector, the concrete vector class) and calls
+/// `functor(begin, end)` with statically typed iterators — the paper's
+/// `with_iterators` entry point. `position_filter` (may be null) restricts
+/// the visited offsets. Its users are the statistics, the indexes, the
+/// self-driving plugin and the Figure-3 benches; operators read columns,
+/// reference segments included, through DecodeSegment
+/// (storage/segment_decoder.hpp).
 template <typename T, typename Functor>
 void SegmentWithIterators(const AbstractSegment& segment, const std::shared_ptr<const PositionFilter>& position_filter,
                           const Functor& functor) {
@@ -46,16 +47,7 @@ void SegmentWithIterators(const AbstractSegment& segment, const std::shared_ptr<
       return;
     }
   }
-  if (const auto* reference_segment = dynamic_cast<const ReferenceSegment*>(&segment)) {
-    ReferenceSegmentIterable<T>{*reference_segment}.WithIterators(position_filter, functor);
-    return;
-  }
-  Fail("Unknown segment type in SegmentWithIterators");
-}
-
-template <typename T, typename Functor>
-void SegmentWithIterators(const AbstractSegment& segment, const Functor& functor) {
-  SegmentWithIterators<T>(segment, nullptr, functor);
+  Fail("SegmentWithIterators reads stored segments only; reference segments are decoded (DecodeSegment)");
 }
 
 /// Calls `functor(SegmentPosition<T>)` for every (filtered) value.
@@ -72,23 +64,6 @@ void SegmentIterate(const AbstractSegment& segment, const std::shared_ptr<const 
 template <typename T, typename Functor>
 void SegmentIterate(const AbstractSegment& segment, const Functor& functor) {
   SegmentIterate<T>(segment, nullptr, functor);
-}
-
-/// The dynamic-dispatch counterpart of SegmentIterate: one virtual accessor
-/// call per value, mimicking the previous system's runtime-resolved data
-/// layout abstraction (Figure 3b baseline; also used by generic fallbacks).
-template <typename T, typename Functor>
-void SegmentIterateDynamic(const AbstractSegment& segment, const Functor& functor) {
-  const auto accessor = CreateSegmentAccessor<T>(segment);
-  const auto size = segment.size();
-  for (auto offset = ChunkOffset{0}; offset < size; ++offset) {
-    auto value = accessor->Access(offset);
-    if (value.has_value()) {
-      functor(SegmentPosition<T>{std::move(*value), false, offset});
-    } else {
-      functor(SegmentPosition<T>{T{}, true, offset});
-    }
-  }
 }
 
 }  // namespace hyrise

@@ -17,11 +17,28 @@ namespace hyrise {
 /// here via ResolveDataType below instead of Boost.Hana).
 enum class DataType : uint8_t { kNull, kInt, kLong, kFloat, kDouble, kString };
 
-/// A string compared or combined with a number. Fails the statement with
-/// SQLSTATE 42883 (undefined_function), never the process.
-class DataTypeMismatch : public std::invalid_argument {
+/// A value a statement cannot use, with the SQLSTATE it fails with — for
+/// example text that is no number (22P02 invalid_text_representation), a
+/// number out of its type's range (22003) or a malformed date (22007).
+/// Fails the statement, never the process.
+class DataError : public std::invalid_argument {
  public:
-  using std::invalid_argument::invalid_argument;
+  DataError(const std::string& message, const char* sqlstate)
+      : std::invalid_argument(message), sqlstate_(sqlstate) {}
+
+  const char* sqlstate() const {
+    return sqlstate_;
+  }
+
+ private:
+  const char* sqlstate_;
+};
+
+/// A string compared or combined with a number: SQLSTATE 42883
+/// (undefined_function).
+class DataTypeMismatch : public DataError {
+ public:
+  explicit DataTypeMismatch(const std::string& message) : DataError(message, "42883") {}
 };
 
 /// Untyped value used on slow paths (row materialization, expression

@@ -249,6 +249,25 @@ TEST_F(ExtendedProtocolTest, ParseErrorSkipsUntilSyncThenRecovers) {
   ASSERT_EQ(DataRows(*next).size(), 1u);
 }
 
+TEST_F(ExtendedProtocolTest, OutOfRangeLiteralFailsParseNotTheServer) {
+  auto client = PgClient{server_->port()};
+  ASSERT_TRUE(client.Handshake());
+
+  ASSERT_TRUE(client.SendParse("", "SELECT 99999999999999999999", {}));
+  ASSERT_TRUE(client.SendSync());
+  const auto messages = client.ReadUntilReady();
+  ASSERT_TRUE(messages.has_value());
+  ASSERT_EQ(messages->size(), 2u) << "one error, then ReadyForQuery";
+  EXPECT_EQ((*messages)[0].type, 'E');
+  EXPECT_NE((*messages)[0].payload.find("out of range: 99999999999999999999"), std::string::npos)
+      << (*messages)[0].payload;
+  EXPECT_EQ((*messages)[0].payload.find("Internal error"), std::string::npos) << (*messages)[0].payload;
+
+  const auto next = client.ExtendedQuery("SELECT 1 + 1");
+  ASSERT_TRUE(next.has_value());
+  ASSERT_EQ(DataRows(*next).size(), 1u);
+}
+
 TEST_F(ExtendedProtocolTest, BadParameterTextAndUnknownPortalAreReported) {
   auto client = PgClient{server_->port()};
   ASSERT_TRUE(client.Handshake());

@@ -138,12 +138,20 @@ TEST_F(ServerTest, StringAgainstIntColumnFailsTheStatementNotTheConnection) {
     expect_connection_answers();
   }
 
-  // A failed CAST also throws std::invalid_argument, but is no type mismatch.
-  const auto cast = client.Query("SELECT CAST('abc' AS INT)");
-  ASSERT_TRUE(cast.has_value());
-  ASSERT_NE(PgClient::FindType(*cast, 'E'), nullptr);
-  EXPECT_EQ(PgClient::FindType(*cast, 'E')->payload.find("C42883"), std::string::npos);
-  expect_connection_answers();
+  // A failed CAST is a data error (22P02), no type mismatch; out-of-range
+  // literals fail the statement. None is an internal error.
+  for (const auto& [sql, code] : std::vector<std::pair<std::string, std::string>>{
+           {"SELECT CAST('abc' AS INT)", "C22P02"},
+           {"SELECT 99999999999999999999", "out of range"},
+           {"SELECT 1e999", "out of range"}}) {
+    const auto messages = client.Query(sql);
+    ASSERT_TRUE(messages.has_value()) << sql;
+    const auto* error = PgClient::FindType(*messages, 'E');
+    ASSERT_NE(error, nullptr) << sql;
+    EXPECT_NE(error->payload.find(code), std::string::npos) << sql << ": " << error->payload;
+    EXPECT_EQ(error->payload.find("Internal error"), std::string::npos) << sql << ": " << error->payload;
+    expect_connection_answers();
+  }
 
   // An untyped $1 whose text is no number is bound as a string.
   expect_type_mismatch(client.ExtendedQuery("SELECT a FROM t WHERE a = $1", {std::string{"abc"}}), "$1 = 'abc'");

@@ -150,4 +150,20 @@ TEST(SqlParserTest, ReportsErrorsWithLocation) {
   EXPECT_FALSE(ParseSql("SELECT a FROM t GROUP a").ok());
 }
 
+TEST(SqlParserTest, NumericLiteralsOutOfRangeAreErrors) {
+  // Past int64, past double (overflow and underflow), past LIMIT's uint64:
+  // each is an error result naming the literal.
+  for (const auto* literal : {"99999999999999999999", "1e999", "1e-999"}) {
+    const auto result = ParseSql(std::string{"SELECT "} + literal);
+    ASSERT_FALSE(result.ok()) << literal;
+    EXPECT_NE(result.error().find(std::string{"out of range: "} + literal), std::string::npos) << result.error();
+  }
+  EXPECT_FALSE(ParseSql("SELECT a FROM t LIMIT 99999999999999999999").ok());
+  EXPECT_FALSE(ParseSql("SELECT 1.2.3").ok());
+
+  // The largest values still parse, as long and double.
+  const auto result = ParseSql("SELECT 9223372036854775807, 1e308");
+  ASSERT_TRUE(result.ok()) << result.error();
+}
+
 }  // namespace hyrise::sql

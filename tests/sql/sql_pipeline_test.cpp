@@ -150,6 +150,35 @@ TEST_F(SqlTest, CastExpression) {
   ExpectTableContents(ExecuteSql("SELECT CAST(grade AS INT) FROM students WHERE id = 4"), {{3}});
 }
 
+TEST_F(SqlTest, InvalidCastsAndDatesFailTheStatementWithADataError) {
+  // Each fails with its SQLSTATE, returned, not thrown: a constant CAST while
+  // the optimizer folds it, a column CAST or EXTRACT while executing.
+  ExecuteSql("INSERT INTO enrollments VALUES (7, 'x7')");
+  for (const auto& [sql, sqlstate] : std::vector<std::pair<std::string, std::string>>{
+           {"SELECT CAST('abc' AS INT)", "22P02"},
+           {"SELECT CAST('1.5x' AS DOUBLE)", "22P02"},
+           {"SELECT CAST('99999999999' AS INT)", "22003"},
+           {"SELECT CAST(course AS INT) FROM enrollments", "22P02"},
+           {"SELECT EXTRACT(YEAR FROM course) FROM enrollments WHERE student_id = 1", "22007"}}) {
+    auto pipeline = SqlPipeline::Builder{sql}.Build();
+    auto status = SqlPipelineStatus::kSuccess;
+    EXPECT_NO_THROW(status = pipeline.Execute()) << sql;
+    EXPECT_EQ(status, SqlPipelineStatus::kFailure) << sql;
+    EXPECT_EQ(pipeline.sqlstate(), sqlstate) << sql << ": " << pipeline.error_message();
+  }
+  ExpectTableContents(ExecuteSql("SELECT CAST(' 42 ' AS INT), CAST('+2.5' AS DOUBLE)"), {{42, 2.5}});
+}
+
+TEST_F(SqlTest, OutOfRangeNumericLiteralsFailTheStatement) {
+  for (const auto* sql : {"SELECT 99999999999999999999", "SELECT 1e999", "SELECT id FROM students LIMIT 99999999999999999999"}) {
+    auto pipeline = SqlPipeline::Builder{sql}.Build();
+    auto status = SqlPipelineStatus::kSuccess;
+    EXPECT_NO_THROW(status = pipeline.Execute()) << sql;
+    EXPECT_EQ(status, SqlPipelineStatus::kFailure) << sql;
+    EXPECT_NE(pipeline.error_message().find("out of range"), std::string::npos) << pipeline.error_message();
+  }
+}
+
 TEST_F(SqlTest, ViewsEmbedTheirPlan) {
   ExecuteSql("CREATE VIEW good_students AS SELECT id, name FROM students WHERE grade < 2.0");
   ExpectTableContents(ExecuteSql("SELECT name FROM good_students WHERE id > 1"), {{std::string{"cara"}}});

@@ -3,6 +3,7 @@
 #include <random>
 
 #include "storage/chunk_encoder.hpp"
+#include "storage/segment_iterables/segment_accessor.hpp"
 #include "storage/segment_iterables/segment_iterate.hpp"
 #include "storage/value_segment.hpp"
 

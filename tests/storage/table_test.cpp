@@ -2,7 +2,7 @@
 
 #include "storage/chunk_encoder.hpp"
 #include "storage/reference_segment.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/storage_manager.hpp"
 #include "storage/table.hpp"
 
@@ -105,12 +105,11 @@ TEST(ReferenceSegmentTest, IterableVisitsPosListOrder) {
   }
   const auto segment = ReferenceSegment{table, ColumnID{0}, pos_list};
 
-  auto seen = std::vector<int32_t>{};
-  SegmentIterate<int32_t>(segment, [&](const auto& position) {
-    ASSERT_FALSE(position.is_null());
-    seen.push_back(position.value());
-  });
-  EXPECT_EQ(seen, (std::vector<int32_t>{24, 19, 14, 9, 4}));
+  // The pos list walks three chunks backwards; the decoder groups the rows
+  // by chunk and must still return them in pos-list order.
+  const auto decoded = DecodeSegmentAs<int32_t>(segment);
+  EXPECT_TRUE(decoded.nulls.empty());
+  EXPECT_EQ(decoded.values, (std::vector<int32_t>{24, 19, 14, 9, 4}));
 }
 
 TEST(StorageManagerTest, AddGetDropTable) {
