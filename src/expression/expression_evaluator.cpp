@@ -1,8 +1,6 @@
 #include "expression/expression_evaluator.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <string_view>
 #include <unordered_set>
 
 #include "expression/expression_utils.hpp"
@@ -16,28 +14,6 @@
 namespace hyrise {
 
 namespace {
-
-/// Reads `text`, blanks around it allowed, as a T — how CAST and EXTRACT
-/// read numbers from strings. Text that is no T throws DataError with
-/// `sqlstate`; a number outside T's range throws 22003.
-template <typename T>
-T ParseNumber(const std::string& text, const char* sqlstate) {
-  auto view = std::string_view{text};
-  view.remove_prefix(std::min(view.find_first_not_of(' '), view.size()));
-  view.remove_suffix(view.size() - (view.find_last_not_of(' ') + 1));
-  if (view.size() > 1 && view[0] == '+' && view[1] != '-') {
-    view.remove_prefix(1);  // from_chars reads no plus sign.
-  }
-  auto value = T{};
-  const auto [end, error] = std::from_chars(view.data(), view.data() + view.size(), value);
-  if (error != std::errc{} || end != view.data() + view.size()) {
-    const auto out_of_range = error == std::errc::result_out_of_range;
-    throw DataError{std::string{out_of_range ? "Value out of range" : "Invalid input"} + " for type " +
-                        DataTypeToString(DataTypeOf<T>()) + ": '" + text + "'",
-                    out_of_range ? "22003" : sqlstate};
-  }
-  return value;
-}
 
 /// Output size of combining results (literals broadcast).
 size_t CombinedSize(size_t lhs, size_t rhs) {
@@ -146,17 +122,28 @@ std::shared_ptr<AbstractSegment> ExpressionEvaluator::EvaluateToSegment(const Ex
   }
   ResolveDataType(data_type, [&](auto type_tag) {
     using T = decltype(type_tag);
-    const auto result = EvaluateTo<T>(expression);
-    auto values = result->values;
-    auto nulls = result->nulls;
+    // The root is evaluated without caching it, unless the cache already
+    // holds it as part of another expression. Its values are moved into the
+    // segment unless the cache holds them too.
+    auto result = std::shared_ptr<ExpressionResult<T>>{};
+    if (expression->data_type() == DataType::kNull) {
+      result = ExpressionResult<T>::MakeNullLiteral();
+    } else if (const auto cached = result_cache_.find(expression); cached != result_cache_.end()) {
+      result = std::static_pointer_cast<ExpressionResult<T>>(cached->second);
+    } else {
+      result = EvaluateUncached<T>(expression);
+    }
+    const auto shared = result.use_count() > 1;
+    auto values = shared ? result->values : std::move(result->values);
+    auto nulls = shared ? result->nulls : std::move(result->nulls);
     if (values.size() == 1 && row_count_ != 1) {  // Broadcast literal.
-      values.assign(row_count_, result->values[0]);
+      values.assign(row_count_, T{values[0]});
       if (!nulls.empty()) {
-        nulls.assign(row_count_, result->nulls[0]);
+        nulls.assign(row_count_, bool{nulls[0]});
       }
     }
     if (!nulls.empty() && nulls.size() != values.size()) {
-      nulls.assign(values.size(), nulls[0]);
+      nulls.assign(values.size(), bool{nulls[0]});
     }
     segment = std::make_shared<ValueSegment<T>>(std::move(values), std::move(nulls));
   });
@@ -199,8 +186,44 @@ AllTypeVariant ExpressionEvaluator::EvaluateToScalar(const ExpressionPtr& expres
 
 // --- Dispatcher -----------------------------------------------------------------
 
+namespace {
+
+/// Whether the evaluator caches the result of `expression`: a column, or a
+/// deterministic arithmetic, CASE or CAST node. Subqueries and parameters
+/// anywhere below make it uncacheable.
+bool IsCacheable(const ExpressionPtr& expression) {
+  const auto type = expression->type;
+  if (type != ExpressionType::kPqpColumn && type != ExpressionType::kArithmetic && type != ExpressionType::kCase &&
+      type != ExpressionType::kCast) {
+    return false;
+  }
+  auto cacheable = true;
+  VisitExpression(expression, [&](const ExpressionPtr& node) {
+    cacheable &= node->type != ExpressionType::kPqpSubquery && node->type != ExpressionType::kLqpSubquery &&
+                 node->type != ExpressionType::kParameter;
+    return cacheable;
+  });
+  return cacheable;
+}
+
+}  // namespace
+
 template <typename T>
 std::shared_ptr<ExpressionResult<T>> ExpressionEvaluator::EvaluateSameType(const ExpressionPtr& expression) {
+  if (!IsCacheable(expression)) {
+    return EvaluateUncached<T>(expression);
+  }
+  const auto cached = result_cache_.find(expression);
+  if (cached != result_cache_.end()) {
+    return std::static_pointer_cast<ExpressionResult<T>>(cached->second);
+  }
+  auto result = EvaluateUncached<T>(expression);
+  result_cache_.emplace(expression, result);
+  return result;
+}
+
+template <typename T>
+std::shared_ptr<ExpressionResult<T>> ExpressionEvaluator::EvaluateUncached(const ExpressionPtr& expression) {
   switch (expression->type) {
     case ExpressionType::kValue: {
       const auto& value_expression = static_cast<const ValueExpression&>(*expression);
@@ -261,22 +284,11 @@ std::shared_ptr<ExpressionResult<T>> ExpressionEvaluator::EvaluateSameType(const
 template <typename T>
 std::shared_ptr<ExpressionResult<T>> ExpressionEvaluator::EvaluateColumn(const PqpColumnExpression& column) {
   Assert(chunk_, "Column access without a chunk context: " + column.Description());
-  const auto cached = column_cache_.find(column.column_id);
-  if (cached != column_cache_.end()) {
-    return std::static_pointer_cast<ExpressionResult<T>>(cached->second);
-  }
   const auto segment = chunk_->GetSegment(column.column_id);
   Assert(segment->data_type() == DataTypeOf<T>(), "Column type mismatch for " + column.Description());
 
-  auto decoded = DecodeSegmentAs<T>(*segment);
-  // A mutable chunk's segment may have grown since row_count_ was read.
-  decoded.values.resize(row_count_);
-  if (!decoded.nulls.empty()) {
-    decoded.nulls.resize(row_count_);
-  }
-  auto result = std::make_shared<ExpressionResult<T>>(std::move(decoded.values), std::move(decoded.nulls));
-  column_cache_.emplace(column.column_id, result);
-  return result;
+  auto decoded = DecodeSegmentAs<T>(*segment, row_count_);
+  return std::make_shared<ExpressionResult<T>>(std::move(decoded.values), std::move(decoded.nulls));
 }
 
 // --- Arithmetic -----------------------------------------------------------------

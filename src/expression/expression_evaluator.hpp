@@ -46,8 +46,13 @@ class ExpressionEvaluator {
   AllTypeVariant EvaluateToScalar(const ExpressionPtr& expression);
 
  private:
+  /// Evaluates `expression` as its own type T, through the result cache.
   template <typename T>
   std::shared_ptr<ExpressionResult<T>> EvaluateSameType(const ExpressionPtr& expression);
+
+  /// The same, without looking into or filling the cache at this node.
+  template <typename T>
+  std::shared_ptr<ExpressionResult<T>> EvaluateUncached(const ExpressionPtr& expression);
 
   template <typename T>
   std::shared_ptr<ExpressionResult<T>> EvaluateColumn(const PqpColumnExpression& column);
@@ -83,8 +88,24 @@ class ExpressionEvaluator {
   std::shared_ptr<const Chunk> chunk_;
   std::shared_ptr<TransactionContext> transaction_context_;
 
-  /// Memoized column materializations (type-erased ExpressionResult<T>).
-  std::unordered_map<uint16_t, std::shared_ptr<void>> column_cache_;
+  struct ExpressionHash {
+    size_t operator()(const ExpressionPtr& expression) const {
+      return expression->Hash();
+    }
+  };
+
+  struct ExpressionEqual {
+    bool operator()(const ExpressionPtr& lhs, const ExpressionPtr& rhs) const {
+      return *lhs == *rhs;
+    }
+  };
+
+  /// Results of columns and of deterministic arithmetic, CASE and CAST
+  /// nodes (type-erased ExpressionResult<T>), keyed structurally: a
+  /// subexpression shared by several expressions is evaluated once per
+  /// chunk. Subtrees with subqueries or parameters are never cached. A key
+  /// holds its expression, which a caller may have built just for one call.
+  std::unordered_map<ExpressionPtr, std::shared_ptr<void>, ExpressionHash, ExpressionEqual> result_cache_;
 
   /// Uncorrelated subqueries execute once per evaluator.
   std::unordered_map<const AbstractOperator*, std::shared_ptr<const Table>> uncorrelated_subquery_cache_;

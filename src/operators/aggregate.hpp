@@ -15,14 +15,15 @@ struct AggregateColumnDefinition {
   std::optional<ColumnID> column;
 };
 
-/// Hash-based grouping and aggregation. Group keys are packed into a single
-/// uint64_t when the group columns' value and null bits fit (one or two small
-/// columns), else byte-serialized into per-chunk arenas with stored hashes;
-/// grouping runs per chunk in flat open-addressing tables merged by a fixed
-/// tree (DESIGN.md §5c). Accumulators are typed per aggregate. SQL NULL
-/// semantics: aggregates skip NULL inputs, COUNT(*) counts rows, empty input
-/// without GROUP BY yields one row (COUNT = 0, others NULL), NULL group
-/// values form their own group.
+/// Hash-based grouping and aggregation, one task per chunk (DESIGN.md §5c).
+/// A chunk whose group columns are all dictionary codes groups on the codes;
+/// any other chunk groups on its decoded values. Only each chunk's distinct
+/// groups are merged across chunks, by value, up a fixed tree, so groups
+/// come out in first-occurrence order. Each aggregate input column is decoded
+/// once per chunk for all aggregates over it. SQL semantics: aggregates skip
+/// NULL inputs, COUNT(*) counts rows, empty input without GROUP BY yields one
+/// row (COUNT = 0, others NULL), NULL group values form their own group, and
+/// -0.0 and +0.0 form one group.
 class Aggregate final : public AbstractOperator {
  public:
   Aggregate(std::shared_ptr<AbstractOperator> input, std::vector<ColumnID> group_by_columns,

@@ -16,7 +16,21 @@ std::shared_ptr<const Table> Insert::OnExecute(const std::shared_ptr<Transaction
   const auto input = left_input_->get_output();
   Assert(input->column_count() == target_table_->column_count(), "INSERT: column count mismatch");
 
-  const auto rows = input->GetRows();
+  // A value of another type is cast to its column's type before the first
+  // append, so a value that is no number (22P02) fails the statement with
+  // nothing written, not halfway through a row.
+  auto rows = input->GetRows();
+  for (auto& row : rows) {
+    for (auto index = size_t{0}; index < row.size(); ++index) {
+      const auto data_type = target_table_->column_data_type(ColumnID{static_cast<uint16_t>(index)});
+      if (!VariantIsNull(row[index]) && DataTypeOfVariant(row[index]) != data_type) {
+        ResolveDataType(data_type, [&](auto type_tag) {
+          using T = decltype(type_tag);
+          row[index] = AllTypeVariant{VariantCast<T>(row[index])};
+        });
+      }
+    }
+  }
   const auto use_mvcc = target_table_->uses_mvcc() == UseMvcc::kYes;
   Assert(!use_mvcc || context, "Insert into MVCC table requires a transaction context");
 

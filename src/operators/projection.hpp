@@ -10,8 +10,8 @@ namespace hyrise {
 
 /// Computes expressions over its input — the workhorse for non-trivial column
 /// operations (paper §2.6): arithmetic, CASE, string functions, subselects.
-/// A projection consisting purely of column references forwards segments
-/// without copying.
+/// Column references are forwarded as the input's segments, without
+/// copying; the output has the input's table type (DESIGN.md §5c).
 class Projection final : public AbstractOperator {
  public:
   Projection(std::shared_ptr<AbstractOperator> input, Expressions expressions);

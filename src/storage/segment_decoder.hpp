@@ -372,15 +372,23 @@ void DecodeSegmentAs(const AbstractSegment& segment, size_t base, std::vector<K>
   });
 }
 
-/// Decodes a whole segment as K (see above).
+/// Decodes the first `row_count` rows of a segment as K (see above): all of
+/// them, or as many as its chunk had when a mutable value segment has grown
+/// since.
 template <typename K>
-MaterializedColumn<K> DecodeSegmentAs(const AbstractSegment& segment) {
+MaterializedColumn<K> DecodeSegmentAs(const AbstractSegment& segment, size_t row_count) {
   auto decoded = MaterializedColumn<K>{};
-  decoded.values.resize(segment.size());
+  decoded.values.resize(row_count);
   auto null_rows = std::vector<size_t>{};
   DecodeSegmentAs<K>(segment, 0, decoded.values, null_rows);
   decoded.MarkNulls(null_rows);
   return decoded;
+}
+
+/// Decodes a whole segment as K (see above).
+template <typename K>
+MaterializedColumn<K> DecodeSegmentAs(const AbstractSegment& segment) {
+  return DecodeSegmentAs<K>(segment, segment.size());
 }
 
 }  // namespace hyrise

@@ -1,10 +1,13 @@
 #ifndef HYRISE_SRC_TYPES_ALL_TYPE_VARIANT_HPP_
 #define HYRISE_SRC_TYPES_ALL_TYPE_VARIANT_HPP_
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "types/null_value.hpp"
@@ -74,6 +77,29 @@ DataType DataTypeOfVariant(const AllTypeVariant& variant);
 
 const char* DataTypeToString(DataType data_type);
 
+/// Reads `text`, blanks around it allowed, as a T — how CAST, EXTRACT and
+/// VariantCast (say, INSERT of a string into a number column) read numbers
+/// from strings. Text that is no T throws DataError with `sqlstate`; a
+/// number outside T's range throws 22003.
+template <typename T>
+T ParseNumber(const std::string& text, const char* sqlstate) {
+  auto view = std::string_view{text};
+  view.remove_prefix(std::min(view.find_first_not_of(' '), view.size()));
+  view.remove_suffix(view.size() - (view.find_last_not_of(' ') + 1));
+  if (view.size() > 1 && view[0] == '+' && view[1] != '-') {
+    view.remove_prefix(1);  // from_chars reads no plus sign.
+  }
+  auto value = T{};
+  const auto [end, error] = std::from_chars(view.data(), view.data() + view.size(), value);
+  if (error != std::errc{} || end != view.data() + view.size()) {
+    const auto out_of_range = error == std::errc::result_out_of_range;
+    throw DataError{std::string{out_of_range ? "Value out of range" : "Invalid input"} + " for type " +
+                        DataTypeToString(DataTypeOf<T>()) + ": '" + text + "'",
+                    out_of_range ? "22003" : sqlstate};
+  }
+  return value;
+}
+
 /// Parses "int" / "long" / "float" / "double" / "string" (used by the CSV
 /// loader and CREATE TABLE).
 DataType DataTypeFromString(const std::string& name);
@@ -129,11 +155,9 @@ T VariantCast(const AllTypeVariant& variant) {
         } else if constexpr (std::is_same_v<T, std::string> && std::is_arithmetic_v<SourceType>) {
           return std::to_string(value);
         } else if constexpr (std::is_same_v<SourceType, std::string> && std::is_arithmetic_v<T>) {
-          if constexpr (std::is_integral_v<T>) {
-            return static_cast<T>(std::stoll(value));
-          } else {
-            return static_cast<T>(std::stod(value));
-          }
+          // long double (the literal range checks) reads as double.
+          using Parsed = std::conditional_t<std::is_same_v<T, long double>, double, T>;
+          return static_cast<T>(ParseNumber<Parsed>(value, "22P02"));  // invalid_text_representation
         } else {
           Fail("Unsupported variant cast");
         }

@@ -118,6 +118,13 @@ class FlatHashMap {
     return size_;
   }
 
+  /// Starts loading the slot a probe for `hash` begins at. Inserting many
+  /// keys into a table beyond the cache is bound by memory latency; calling
+  /// this some keys ahead overlaps those misses.
+  void Prefetch(uint64_t hash) const {
+    __builtin_prefetch(&slots_[IndexFor(hash)]);
+  }
+
  private:
   struct Slot {
     uint64_t hash{0};  // 0 = empty; MixHash/HashBytes never produce 0.

@@ -210,4 +210,32 @@ TEST_F(EvaluatorTest, UncorrelatedSubqueryAsScalarAndInSet) {
   EXPECT_EQ(evaluator.EvaluateToPositions(in_expression).size(), 2u);  // 2 and 4.
 }
 
+TEST_F(EvaluatorTest, SharedSubexpressionsAreEvaluatedOnce) {
+  auto evaluator = Evaluator();
+  const auto make_product = [] {
+    return std::make_shared<ArithmeticExpression>(ArithmeticOperator::kMultiplication,
+                                                  Column(ColumnID{0}, DataType::kInt, "a"),
+                                                  Column(ColumnID{1}, DataType::kDouble, "b"));
+  };
+  // Two structurally equal trees share one cached result.
+  const auto product = evaluator.EvaluateTo<double>(make_product());
+  EXPECT_EQ(evaluator.EvaluateTo<double>(make_product()), product);
+  const auto sum = std::make_shared<ArithmeticExpression>(ArithmeticOperator::kAddition, make_product(), Value(1.0));
+  const auto sum_segment = evaluator.EvaluateToSegment(sum);
+  EXPECT_EQ((*sum_segment)[ChunkOffset{1}], AllTypeVariant{6.0});
+  // The segment of a cached result is a copy: the cache keeps its values.
+  const auto product_segment = evaluator.EvaluateToSegment(make_product());
+  EXPECT_EQ((*product_segment)[ChunkOffset{3}], AllTypeVariant{18.0});
+  EXPECT_EQ(product->values.size(), 4u);
+
+  // A subquery's result is never cached: each evaluation runs it.
+  auto inner_table = MakeTable({{"x", DataType::kInt}}, {{2}});
+  const auto subquery =
+      std::make_shared<PqpSubqueryExpression>(std::make_shared<TableWrapper>(inner_table), DataType::kInt,
+                                              std::vector<std::pair<ParameterID, ExpressionPtr>>{});
+  const auto scaled = std::make_shared<ArithmeticExpression>(ArithmeticOperator::kMultiplication,
+                                                             Column(ColumnID{0}, DataType::kInt, "a"), subquery);
+  EXPECT_NE(evaluator.EvaluateTo<int32_t>(scaled), evaluator.EvaluateTo<int32_t>(scaled));
+}
+
 }  // namespace hyrise

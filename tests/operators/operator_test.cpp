@@ -14,6 +14,7 @@
 #include "operators/table_wrapper.hpp"
 #include "operators/union_all.hpp"
 #include "storage/chunk_encoder.hpp"
+#include "storage/segment_decoder.hpp"
 #include "test_utils.hpp"
 
 namespace hyrise {
@@ -95,6 +96,87 @@ TEST(ProjectionTest, CaseExpression) {
   EXPECT_EQ(output->GetValue(ColumnID{0}, 0), AllTypeVariant{std::string{"small"}});
   EXPECT_EQ(output->GetValue(ColumnID{0}, 1), AllTypeVariant{std::string{"big"}});
   EXPECT_EQ(output->GetValue(ColumnID{0}, 3), AllTypeVariant{std::string{"small"}});  // NULL > 15 is NULL → ELSE.
+}
+
+TEST(ProjectionTest, ReferenceInputForwardsSegmentsAndReferencesComputedColumns) {
+  const auto table = SalesTable();
+  ChunkEncoder::EncodeAllChunks(table, SegmentEncodingSpec{EncodingType::kDictionary});
+  auto scan = std::make_shared<TableScan>(
+      Wrap(table), std::make_shared<PredicateExpression>(PredicateCondition::kGreaterThanEquals,
+                                                         Expressions{Column(ColumnID{1}, DataType::kInt, "amount"),
+                                                                     Value(10)}));
+  scan->Execute();
+  const auto doubled = std::make_shared<ArithmeticExpression>(ArithmeticOperator::kMultiplication,
+                                                              Column(ColumnID{1}, DataType::kInt, "amount"), Value(2));
+  const auto total = std::make_shared<ArithmeticExpression>(
+      ArithmeticOperator::kAddition, Column(ColumnID{2}, DataType::kDouble, "price"), doubled);
+  auto projection = std::make_shared<Projection>(
+      scan, Expressions{Column(ColumnID{0}, DataType::kString, "region"), doubled,
+                        Column(ColumnID{2}, DataType::kDouble, "price"), total});
+  projection->Execute();
+  const auto output = projection->get_output();
+
+  ASSERT_EQ(output->type(), TableType::kReferences);
+  ExpectTableContents(output, {{std::string{"east"}, 20, 1.5, 21.5},
+                               {std::string{"west"}, 40, 2.5, 42.5},
+                               {std::string{"east"}, 60, 3.5, 63.5},
+                               {std::string{"east"}, 20, 5.5, 25.5}},
+                      true);
+  const auto input = scan->get_output();
+  ASSERT_EQ(output->chunk_count(), input->chunk_count());
+  for (auto chunk_id = ChunkID{0}; chunk_id < output->chunk_count(); ++chunk_id) {
+    const auto chunk = output->GetChunk(chunk_id);
+    // Forwarded: the scan's own segments.
+    EXPECT_EQ(chunk->GetSegment(ColumnID{0}), input->GetChunk(chunk_id)->GetSegment(ColumnID{0}));
+    EXPECT_EQ(chunk->GetSegment(ColumnID{2}), input->GetChunk(chunk_id)->GetSegment(ColumnID{2}));
+    // Computed: one data table, referenced through one single-chunk pos list.
+    const auto* doubled_segment = dynamic_cast<const ReferenceSegment*>(chunk->GetSegment(ColumnID{1}).get());
+    const auto* total_segment = dynamic_cast<const ReferenceSegment*>(chunk->GetSegment(ColumnID{3}).get());
+    ASSERT_NE(doubled_segment, nullptr);
+    ASSERT_NE(total_segment, nullptr);
+    EXPECT_EQ(doubled_segment->pos_list(), total_segment->pos_list());
+    EXPECT_TRUE(doubled_segment->pos_list()->ReferencesSingleChunk());
+    EXPECT_EQ(doubled_segment->referenced_table()->type(), TableType::kData);
+  }
+
+  // A scan after the projection still reads the forwarded string column as
+  // dictionary codes.
+  EXPECT_TRUE(ViewDictionary<std::string>(*output->GetChunk(ChunkID{0})->GetSegment(ColumnID{0})).has_value());
+  const auto projection_wrapper = std::make_shared<TableWrapper>(output);
+  projection_wrapper->Execute();
+  auto region_scan = std::make_shared<TableScan>(
+      projection_wrapper,
+      std::make_shared<PredicateExpression>(
+          PredicateCondition::kEquals,
+          Expressions{Column(ColumnID{0}, DataType::kString, "region"), Value(std::string{"east"})}));
+  region_scan->Execute();
+  ExpectTableContents(region_scan->get_output(), {{std::string{"east"}, 20, 1.5, 21.5},
+                                                  {std::string{"east"}, 60, 3.5, 63.5},
+                                                  {std::string{"east"}, 20, 5.5, 25.5}},
+                      true);
+}
+
+TEST(ProjectionTest, MutableChunkColumnsKeepEqualLengths) {
+  const auto table = MakeTable({{"a", DataType::kInt}}, {{1}, {2}, {3}, {4}, {5}, {6}}, 4);
+  ASSERT_TRUE(table->GetChunk(ChunkID{1})->IsMutable());
+  auto projection = std::make_shared<Projection>(
+      Wrap(table), Expressions{Column(ColumnID{0}, DataType::kInt, "a"),
+                               std::make_shared<ArithmeticExpression>(
+                                   ArithmeticOperator::kAddition, Column(ColumnID{0}, DataType::kInt, "a"), Value(1))});
+  projection->Execute();
+  const auto output = projection->get_output();
+  table->AppendRow({7});  // Grows the mutable chunk after the projection ran.
+
+  EXPECT_EQ(output->type(), TableType::kData);
+  // An immutable chunk's column is forwarded; the mutable chunk's is copied
+  // at the size the computed column has.
+  EXPECT_EQ(output->GetChunk(ChunkID{0})->GetSegment(ColumnID{0}),
+            table->GetChunk(ChunkID{0})->GetSegment(ColumnID{0}));
+  for (auto chunk_id = ChunkID{0}; chunk_id < output->chunk_count(); ++chunk_id) {
+    const auto chunk = output->GetChunk(chunk_id);
+    EXPECT_EQ(chunk->GetSegment(ColumnID{0})->size(), chunk->GetSegment(ColumnID{1})->size());
+  }
+  ExpectTableContents(output, {{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}}, true);
 }
 
 TEST(AggregateTest, GroupedAggregates) {

@@ -158,6 +158,41 @@ TEST_F(ServerTest, StringAgainstIntColumnFailsTheStatementNotTheConnection) {
   expect_connection_answers();
 }
 
+TEST_F(ServerTest, StringIntoIntColumnInsertIsADataErrorAndWritesNothing) {
+  auto client = PgClient{server_->port()};
+  ASSERT_TRUE(client.Handshake());
+  const auto expect_count = [&](const std::string& count) {
+    const auto answer = client.Query("SELECT COUNT(*) FROM t");
+    ASSERT_TRUE(answer.has_value());
+    const auto rows = PgClient::DataRows(*answer);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0], count);
+  };
+
+  // Text that is no integer, trailing junk included, is 22P02
+  // (invalid_text_representation), as in CAST; a multi-row INSERT whose
+  // second row fails writes neither row.
+  for (const auto* sql : {"INSERT INTO t VALUES ('abc', 'z')", "INSERT INTO t VALUES ('12abc', 'z')",
+                          "INSERT INTO t VALUES (5, 'ok'), ('x', 'bad')"}) {
+    const auto messages = client.Query(sql);
+    ASSERT_TRUE(messages.has_value()) << sql;
+    const auto* error = PgClient::FindType(*messages, 'E');
+    ASSERT_NE(error, nullptr) << sql;
+    EXPECT_NE(error->payload.find("C22P02"), std::string::npos) << sql << ": " << error->payload;
+    EXPECT_EQ(error->payload.find("Internal error"), std::string::npos) << sql << ": " << error->payload;
+    expect_count("2");
+  }
+
+  // A string that is an integer, blanks around it allowed, is one.
+  const auto messages = client.Query("INSERT INTO t VALUES (' 12 ', 'z')");
+  ASSERT_TRUE(messages.has_value());
+  EXPECT_EQ(PgClient::FindType(*messages, 'E'), nullptr);
+  const auto answer = client.Query("SELECT b FROM t WHERE a = 12");
+  ASSERT_TRUE(answer.has_value());
+  ASSERT_EQ(PgClient::DataRows(*answer).size(), 1u);
+  expect_count("3");
+}
+
 TEST_F(ServerTest, ReadyForQueryReportsTransactionBlock) {
   auto client = PgClient{server_->port()};
   ASSERT_TRUE(client.Handshake());
