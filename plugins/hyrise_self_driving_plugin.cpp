@@ -20,7 +20,7 @@
 #include "storage/chunk_encoder.hpp"
 #include "storage/dictionary_segment.hpp"
 #include "storage/index/abstract_chunk_index.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 
 namespace hyrise {
@@ -32,6 +32,7 @@ struct SegmentProfile {
   size_t distinct_count{0};
   size_t run_count{0};
   bool integral{false};
+  // Smallest and largest non-NULL value of an integral segment.
   int64_t min{0};
   int64_t max{0};
 };
@@ -39,27 +40,27 @@ struct SegmentProfile {
 template <typename T>
 SegmentProfile ProfileSegment(const AbstractSegment& segment) {
   auto profile = SegmentProfile{};
-  profile.row_count = segment.size();
   profile.integral = std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>;
+  const auto decoded = DecodeSegmentAs<T>(segment);
+  profile.row_count = decoded.values.size();
   auto distinct = std::unordered_set<T>{};
-  auto has_previous = false;
-  auto previous = T{};
-  SegmentIterate<T>(segment, [&](const auto& position) {
-    if (position.is_null()) {
-      return;
+  const T* previous = nullptr;
+  for (auto offset = size_t{0}; offset < decoded.values.size(); ++offset) {
+    if (decoded.IsNull(offset)) {
+      continue;
     }
-    const auto& value = position.value();
+    const auto& value = decoded.values[offset];
     distinct.insert(value);
-    if (!has_previous || !(value == previous)) {
+    if (!previous || !(value == *previous)) {
       ++profile.run_count;
     }
-    previous = value;
-    has_previous = true;
     if constexpr (std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>) {
-      profile.min = std::min<int64_t>(profile.min, value);
-      profile.max = std::max<int64_t>(profile.max, value);
+      // Seeded from the first non-NULL value.
+      profile.min = previous ? std::min<int64_t>(profile.min, value) : value;
+      profile.max = previous ? std::max<int64_t>(profile.max, value) : value;
     }
-  });
+    previous = &value;
+  }
   profile.distinct_count = distinct.size();
   return profile;
 }
@@ -74,7 +75,9 @@ SegmentEncodingSpec ChooseEncoding(const SegmentProfile& profile) {
   if (profile.distinct_count * 2 < profile.row_count) {
     return SegmentEncodingSpec{EncodingType::kDictionary};
   }
-  if (profile.integral && profile.max - profile.min < (int64_t{1} << 20)) {
+  // The range in uint64_t: max - min overflows int64_t for wide BIGINT domains.
+  if (profile.integral &&
+      static_cast<uint64_t>(profile.max) - static_cast<uint64_t>(profile.min) < (uint64_t{1} << 20)) {
     return SegmentEncodingSpec{EncodingType::kFrameOfReference};
   }
   return SegmentEncodingSpec{EncodingType::kUnencoded};

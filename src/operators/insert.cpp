@@ -49,16 +49,7 @@ std::shared_ptr<const Table> Insert::OnExecute(const std::shared_ptr<Transaction
       // half-claimed slot behind — everything up to here is undone via
       // inserted_row_ids_.
       FAILPOINT("insert/row");
-      // Locate / create the mutable tail chunk.
-      auto chunk = std::shared_ptr<Chunk>{};
-      if (target_table_->chunk_count() > 0) {
-        chunk = target_table_->GetChunk(ChunkID{target_table_->chunk_count() - 1});
-      }
-      if (!chunk || !chunk->IsMutable() || chunk->size() >= target_table_->target_chunk_size()) {
-        target_table_->AppendMutableChunk();
-        chunk = target_table_->GetChunk(ChunkID{target_table_->chunk_count() - 1});
-      }
-      const auto chunk_id = ChunkID{target_table_->chunk_count() - 1};
+      const auto [chunk_id, chunk] = target_table_->TailChunkForAppend();
       const auto offset = chunk->size();
 
       if (use_mvcc) {

@@ -458,18 +458,11 @@ Result<bool> ApplyInsertGroup(const ReplayGroup& group, CommitID commit_id, WalR
     }
   }
 
-  // Mirrors Insert::OnExecute's append loop, but with the record's commit ID
-  // stamped directly as the begin CID — the row is committed by definition.
+  // The record's commit ID is stamped directly as the begin CID — the row is
+  // committed by definition.
   const auto lock = std::lock_guard{table->append_mutex()};
   for (const auto& row : group.rows) {
-    auto chunk = std::shared_ptr<Chunk>{};
-    if (table->chunk_count() > 0) {
-      chunk = table->GetChunk(ChunkID{table->chunk_count() - 1});
-    }
-    if (!chunk || !chunk->IsMutable() || chunk->size() >= table->target_chunk_size()) {
-      table->AppendMutableChunk();
-      chunk = table->GetChunk(ChunkID{table->chunk_count() - 1});
-    }
+    const auto chunk = table->TailChunkForAppend().second;
     const auto offset = chunk->size();
     chunk->Append(row);
     if (chunk->mvcc_data()) {

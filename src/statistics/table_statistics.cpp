@@ -4,7 +4,7 @@
 
 #include "statistics/counting_quotient_filter.hpp"
 #include "statistics/min_max_filter.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "storage/table.hpp"
 #include "utils/assert.hpp"
 
@@ -50,19 +50,20 @@ std::shared_ptr<TableStatistics> GenerateTableStatistics(const Table& table, His
       auto values = std::vector<T>{};
       values.reserve(row_count / stride + 1);
       auto null_count = size_t{0};
+      // Global row `row_index + offset` is sampled when it is a multiple of
+      // `stride`, counting across chunks.
       auto row_index = size_t{0};
       for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
-        const auto segment = table.GetChunk(chunk_id)->GetSegment(column_id);
-        SegmentIterate<T>(*segment, [&](const auto& position) {
-          if (row_index++ % stride != 0) {
-            return;
-          }
-          if (position.is_null()) {
+        const auto decoded = DecodeSegmentAs<T>(*table.GetChunk(chunk_id)->GetSegment(column_id));
+        const auto size = decoded.values.size();
+        for (auto offset = (stride - row_index % stride) % stride; offset < size; offset += stride) {
+          if (decoded.IsNull(offset)) {
             ++null_count;
           } else {
-            values.push_back(position.value());
+            values.push_back(decoded.values[offset]);
           }
-        });
+        }
+        row_index += size;
       }
       auto statistics = std::make_shared<AttributeStatistics<T>>();
       const auto sampled = values.size() + null_count;
@@ -89,14 +90,17 @@ void GenerateChunkPruningStatistics(const std::shared_ptr<Table>& table) {
     for (auto column_id = ColumnID{0}; column_id < chunk->column_count(); ++column_id) {
       ResolveDataType(table->column_data_type(column_id), [&](auto type_tag) {
         using T = decltype(type_tag);
-        auto values = std::vector<T>{};
-        const auto segment = chunk->GetSegment(column_id);
-        values.reserve(segment->size());
-        SegmentIterate<T>(*segment, [&](const auto& position) {
-          if (!position.is_null()) {
-            values.push_back(position.value());
+        // The non-NULL values, compacted in place.
+        auto [values, nulls] = DecodeSegmentAs<T>(*chunk->GetSegment(column_id));
+        if (!nulls.empty()) {
+          auto kept = size_t{0};
+          for (auto offset = size_t{0}; offset < values.size(); ++offset) {
+            if (!nulls[offset]) {
+              values[kept++] = std::move(values[offset]);
+            }
           }
-        });
+          values.resize(kept);
+        }
         if (values.empty()) {
           statistics->push_back(nullptr);
           return;

@@ -19,7 +19,7 @@ void Chunk::Append(const std::vector<AllTypeVariant>& values) {
   Assert(values.size() == segments_.size(), "Append: wrong number of values");
   for (auto column_id = size_t{0}; column_id < segments_.size(); ++column_id) {
     // Mutable chunks consist of ValueSegments only; resolve via the virtual
-    // slow path — appends are not the hot loop the iterables optimize.
+    // slow path — appends are not the hot loop the segment decoder optimizes.
     ResolveDataType(segments_[column_id]->data_type(), [&](auto type_tag) {
       using ColumnDataType = decltype(type_tag);
       auto& segment = static_cast<ValueSegment<ColumnDataType>&>(*segments_[column_id]);

@@ -9,7 +9,7 @@
 
 #include "storage/index/abstract_chunk_index.hpp"
 #include "storage/index/adaptive_radix_tree.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 
 namespace hyrise {
 
@@ -53,11 +53,12 @@ class ArtChunkIndex final : public AbstractChunkIndex {
  public:
   explicit ArtChunkIndex(const AbstractSegment& segment)
       : AbstractChunkIndex(ChunkIndexType::kAdaptiveRadixTree, DataTypeOf<T>()) {
-    SegmentIterate<T>(segment, [&](const auto& position) {
-      if (!position.is_null()) {
-        tree_.Insert(EncodeArtKey(position.value()), position.chunk_offset());
+    const auto decoded = DecodeSegmentAs<T>(segment);
+    for (auto offset = ChunkOffset{0}; offset < decoded.values.size(); ++offset) {
+      if (!decoded.IsNull(offset)) {
+        tree_.Insert(EncodeArtKey(decoded.values[offset]), offset);
       }
-    });
+    }
   }
 
   void Equals(const AllTypeVariant& value, std::vector<ChunkOffset>& result) const final {

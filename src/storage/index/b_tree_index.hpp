@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "storage/index/abstract_chunk_index.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/segment_decoder.hpp"
 #include "utils/assert.hpp"
 
 namespace hyrise {
@@ -25,13 +25,14 @@ class BTreeIndex final : public AbstractChunkIndex {
 
   explicit BTreeIndex(const AbstractSegment& segment) : AbstractChunkIndex(ChunkIndexType::kBTree, DataTypeOf<T>()) {
     // Collect (value, offset), sort, then bulk-load.
+    auto decoded = DecodeSegmentAs<T>(segment);
     auto pairs = std::vector<std::pair<T, ChunkOffset>>{};
-    pairs.reserve(segment.size());
-    SegmentIterate<T>(segment, [&](const auto& position) {
-      if (!position.is_null()) {
-        pairs.emplace_back(position.value(), position.chunk_offset());
+    pairs.reserve(decoded.values.size());
+    for (auto offset = ChunkOffset{0}; offset < decoded.values.size(); ++offset) {
+      if (!decoded.IsNull(offset)) {
+        pairs.emplace_back(std::move(decoded.values[offset]), offset);
       }
-    });
+    }
     std::sort(pairs.begin(), pairs.end());
     BulkLoad(pairs);
   }

@@ -1,5 +1,5 @@
-#ifndef HYRISE_SRC_STORAGE_SEGMENT_ITERABLES_SEGMENT_ACCESSOR_HPP_
-#define HYRISE_SRC_STORAGE_SEGMENT_ITERABLES_SEGMENT_ACCESSOR_HPP_
+#ifndef HYRISE_SRC_STORAGE_SEGMENT_ACCESSOR_HPP_
+#define HYRISE_SRC_STORAGE_SEGMENT_ACCESSOR_HPP_
 
 #include <memory>
 #include <optional>
@@ -120,4 +120,4 @@ std::unique_ptr<AbstractSegmentAccessor<T>> CreateSegmentAccessor(const Abstract
 
 }  // namespace hyrise
 
-#endif  // HYRISE_SRC_STORAGE_SEGMENT_ITERABLES_SEGMENT_ACCESSOR_HPP_
+#endif  // HYRISE_SRC_STORAGE_SEGMENT_ACCESSOR_HPP_

@@ -92,21 +92,22 @@ void Table::AppendMutableChunk() {
   chunks_.push_back(std::make_shared<Chunk>(std::move(segments), std::move(mvcc_data)));
 }
 
+std::pair<ChunkID, std::shared_ptr<Chunk>> Table::TailChunkForAppend() {
+  {
+    const auto lock = std::lock_guard{chunks_mutex_};
+    if (!chunks_.empty() && chunks_.back()->IsMutable() && chunks_.back()->size() < target_chunk_size_) {
+      return {ChunkID{static_cast<uint32_t>(chunks_.size() - 1)}, chunks_.back()};
+    }
+  }
+  AppendMutableChunk();
+  const auto lock = std::lock_guard{chunks_mutex_};
+  return {ChunkID{static_cast<uint32_t>(chunks_.size() - 1)}, chunks_.back()};
+}
+
 void Table::AppendRow(const std::vector<AllTypeVariant>& values) {
   Assert(type_ == TableType::kData, "Cannot append rows to reference tables");
   const auto lock = std::lock_guard{append_mutex_};
-  auto chunk = std::shared_ptr<Chunk>{};
-  {
-    const auto chunks_lock = std::lock_guard{chunks_mutex_};
-    if (!chunks_.empty()) {
-      chunk = chunks_.back();
-    }
-  }
-  if (!chunk || !chunk->IsMutable() || chunk->size() >= target_chunk_size_) {
-    AppendMutableChunk();
-    const auto chunks_lock = std::lock_guard{chunks_mutex_};
-    chunk = chunks_.back();
-  }
+  const auto chunk = TailChunkForAppend().second;
   const auto offset = chunk->size();
   chunk->Append(values);
   if (use_mvcc_ == UseMvcc::kYes) {

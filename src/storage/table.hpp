@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/chunk.hpp"
@@ -91,8 +92,13 @@ class Table {
   void AppendRow(const std::vector<AllTypeVariant>& values);
 
   /// Creates a new mutable chunk of empty ValueSegments (with MVCC columns if
-  /// the table uses MVCC). Thread-safe; used by AppendRow and Insert.
+  /// the table uses MVCC). Thread-safe.
   void AppendMutableChunk();
+
+  /// The chunk the next appended row goes to, with its ID: the last chunk, or
+  /// a new mutable one if it is missing, immutable or full. Call with
+  /// append_mutex() held; used by AppendRow, Insert and WAL replay.
+  std::pair<ChunkID, std::shared_ptr<Chunk>> TailChunkForAppend();
 
   uint64_t row_count() const;
 

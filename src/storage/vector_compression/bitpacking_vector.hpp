@@ -50,7 +50,7 @@ class BitPackingVector final : public BaseCompressedVector {
 
    private:
     const BitPackingVector* vector_;
-    // Get() must stay const (iterables capture decompressors as const), so
+    // Get() must stay const (the decoder holds its decompressor as const), so
     // the cache is logically-const state.
     mutable size_t cached_block_{std::numeric_limits<size_t>::max()};
     mutable size_t unpack_count_{0};

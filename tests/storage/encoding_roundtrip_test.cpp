@@ -3,8 +3,10 @@
 #include <random>
 
 #include "storage/chunk_encoder.hpp"
-#include "storage/segment_iterables/segment_accessor.hpp"
-#include "storage/segment_iterables/segment_iterate.hpp"
+#include "storage/reference_segment.hpp"
+#include "storage/segment_accessor.hpp"
+#include "storage/segment_decoder.hpp"
+#include "storage/table.hpp"
 #include "storage/value_segment.hpp"
 
 namespace hyrise {
@@ -48,7 +50,7 @@ std::vector<EncodingCase> AllCases() {
 
 }  // namespace
 
-/// Property: encoding then reading back (via operator[], the iterables, and
+/// Property: encoding then reading back (via operator[], the decoder, and
 /// the accessors) reproduces the original values for every combination of
 /// encoding, physical compression, data type, and null pattern.
 class EncodingRoundTripTest : public ::testing::TestWithParam<EncodingCase> {};
@@ -98,35 +100,38 @@ TEST_P(EncodingRoundTripTest, ValuesSurviveEncoding) {
       }
     }
 
-    // 2. Statically resolved sequential iteration.
-    auto visited = size_t{0};
-    SegmentIterate<T>(*encoded, [&](const auto& position) {
-      EXPECT_EQ(position.chunk_offset(), visited);
-      EXPECT_EQ(position.is_null(), static_cast<bool>(expected_nulls[visited]));
-      if (!position.is_null()) {
-        EXPECT_EQ(position.value(), expected_values[visited]);
+    // 2. Statically resolved decode of the whole segment.
+    const auto decoded = DecodeSegmentAs<T>(*encoded);
+    ASSERT_EQ(decoded.values.size(), expected_values.size());
+    for (auto offset = size_t{0}; offset < expected_values.size(); ++offset) {
+      EXPECT_EQ(decoded.IsNull(offset), static_cast<bool>(expected_nulls[offset])) << offset;
+      if (!decoded.IsNull(offset)) {
+        EXPECT_EQ(decoded.values[offset], expected_values[offset]) << offset;
       }
-      ++visited;
-    });
-    EXPECT_EQ(visited, expected_values.size());
-
-    // 3. Point access through a position filter (every third value, shuffled).
-    auto filter = std::make_shared<PositionFilter>();
-    for (auto offset = ChunkOffset{0}; offset < encoded->size(); offset += 3) {
-      filter->push_back(offset);
     }
-    std::shuffle(filter->begin(), filter->end(), rng);
-    auto filter_index = size_t{0};
-    SegmentIterate<T>(*encoded, filter, [&](const auto& position) {
-      const auto referenced = (*filter)[filter_index];
-      EXPECT_EQ(position.chunk_offset(), filter_index);
-      EXPECT_EQ(position.is_null(), static_cast<bool>(expected_nulls[referenced]));
-      if (!position.is_null()) {
-        EXPECT_EQ(position.value(), expected_values[referenced]);
+
+    // 3. Point access: a reference segment over every third offset, shuffled.
+    auto table = std::make_shared<Table>(TableColumnDefinitions{{"a", data_type, with_nulls}}, TableType::kData);
+    table->AppendChunk({encoded});
+    auto offsets = std::vector<ChunkOffset>{};
+    for (auto offset = ChunkOffset{0}; offset < encoded->size(); offset += 3) {
+      offsets.push_back(offset);
+    }
+    std::shuffle(offsets.begin(), offsets.end(), rng);
+    auto positions = std::make_shared<RowIDPosList>();
+    for (const auto offset : offsets) {
+      positions->push_back(RowID{ChunkID{0}, offset});
+    }
+    positions->GuaranteeSingleChunk();
+    const auto gathered = DecodeSegmentAs<T>(ReferenceSegment{table, ColumnID{0}, positions});
+    ASSERT_EQ(gathered.values.size(), offsets.size());
+    for (auto index = size_t{0}; index < offsets.size(); ++index) {
+      const auto referenced = offsets[index];
+      EXPECT_EQ(gathered.IsNull(index), static_cast<bool>(expected_nulls[referenced])) << index;
+      if (!gathered.IsNull(index)) {
+        EXPECT_EQ(gathered.values[index], expected_values[referenced]) << index;
       }
-      ++filter_index;
-    });
-    EXPECT_EQ(filter_index, filter->size());
+    }
 
     // 4. Virtual accessors (dynamic path).
     const auto accessor = CreateSegmentAccessor<T>(*encoded);

@@ -39,19 +39,72 @@ std::vector<ChunkOffset> Sorted(std::vector<ChunkOffset> offsets) {
   return offsets;
 }
 
+/// `row_count` nullable ints, about one NULL in eleven rows, each value
+/// repeated for `run_length` rows. Rows 0..1999 hold values in [-200, 200),
+/// each further 2000 rows the same range shifted up by 400, so that blocks of
+/// a frame-of-reference segment have different minima. `model` maps each
+/// value to its offsets.
+struct RandomIntColumn {
+  std::vector<std::optional<int32_t>> values;
+  std::multimap<int32_t, ChunkOffset> model;
+};
+
+RandomIntColumn MakeRandomIntColumn(std::mt19937& rng, ChunkOffset row_count = 2000, ChunkOffset run_length = 1) {
+  auto column = RandomIntColumn{};
+  auto value = int32_t{0};
+  for (auto offset = ChunkOffset{0}; offset < row_count; ++offset) {
+    if (rng() % 11 == 0) {
+      column.values.push_back(std::nullopt);
+      continue;
+    }
+    if (offset % run_length == 0) {
+      // Includes negatives to exercise the sign-flip key encoding.
+      value = static_cast<int32_t>(rng() % 400) - 200 + static_cast<int32_t>(offset / 2000 * 400);
+    }
+    column.values.push_back(value);
+    column.model.emplace(value, offset);
+  }
+  return column;
+}
+
+/// 50 equality and 50 range probes in [-250, -250 + probe_width), each
+/// against the reference model.
+void ExpectMatchesReferenceModel(const AbstractChunkIndex& index, const std::multimap<int32_t, ChunkOffset>& model,
+                                 std::mt19937& rng, uint32_t probe_width = 500) {
+  for (auto probe = 0; probe < 50; ++probe) {
+    const auto value = static_cast<int32_t>(rng() % probe_width) - 250;
+    auto result = std::vector<ChunkOffset>{};
+    index.Equals(AllTypeVariant{value}, result);
+    EXPECT_EQ(Sorted(result), ReferenceRange<int32_t>(model, value, true, value, true)) << "Equals " << value;
+  }
+  for (auto probe = 0; probe < 50; ++probe) {
+    auto low = static_cast<int32_t>(rng() % probe_width) - 250;
+    auto high = static_cast<int32_t>(rng() % probe_width) - 250;
+    if (low > high) {
+      std::swap(low, high);
+    }
+    const auto lower_inclusive = rng() % 2 == 0;
+    const auto upper_inclusive = rng() % 2 == 0;
+    auto result = std::vector<ChunkOffset>{};
+    index.Range(AllTypeVariant{low}, lower_inclusive, AllTypeVariant{high}, upper_inclusive, result);
+    EXPECT_EQ(Sorted(result), ReferenceRange<int32_t>(model, low, lower_inclusive, high, upper_inclusive))
+        << low << (lower_inclusive ? " <= " : " < ") << "x" << (upper_inclusive ? " <= " : " < ") << high;
+  }
+}
+
 }  // namespace
 
 class ChunkIndexTest : public ::testing::TestWithParam<ChunkIndexType> {
  protected:
-  std::shared_ptr<AbstractChunkIndex> BuildIntIndex(const std::vector<std::optional<int32_t>>& values) {
+  // GroupKey needs a dictionary segment; by default every index gets that input.
+  std::shared_ptr<AbstractChunkIndex> BuildIntIndex(
+      const std::vector<std::optional<int32_t>>& values,
+      const SegmentEncodingSpec& spec = SegmentEncodingSpec{EncodingType::kDictionary}) {
     auto segment = std::make_shared<ValueSegment<int32_t>>(true);
     for (const auto& value : values) {
       segment->Append(value.has_value() ? AllTypeVariant{*value} : kNullVariant);
     }
-    // GroupKey needs a dictionary segment; give every index the same input.
-    const auto encoded =
-        ChunkEncoder::EncodeSegment(segment, DataType::kInt, SegmentEncodingSpec{EncodingType::kDictionary});
-    return CreateChunkIndex(GetParam(), encoded);
+    return CreateChunkIndex(GetParam(), ChunkEncoder::EncodeSegment(segment, DataType::kInt, spec));
   }
 };
 
@@ -98,38 +151,29 @@ TEST_P(ChunkIndexTest, RangeBasic) {
 
 TEST_P(ChunkIndexTest, RandomizedAgainstReferenceModel) {
   auto rng = std::mt19937{99};
-  auto values = std::vector<std::optional<int32_t>>{};
-  auto model = std::multimap<int32_t, ChunkOffset>{};
-  for (auto offset = ChunkOffset{0}; offset < 2000; ++offset) {
-    if (rng() % 11 == 0) {
-      values.push_back(std::nullopt);
-    } else {
-      // Includes negatives to exercise the sign-flip key encoding.
-      const auto value = static_cast<int32_t>(rng() % 400) - 200;
-      values.push_back(value);
-      model.emplace(value, offset);
-    }
-  }
-  const auto index = BuildIntIndex(values);
+  const auto column = MakeRandomIntColumn(rng);
+  ExpectMatchesReferenceModel(*BuildIntIndex(column.values), column.model, rng);
+}
 
-  for (auto probe = 0; probe < 50; ++probe) {
-    const auto value = static_cast<int32_t>(rng() % 500) - 250;
-    auto result = std::vector<ChunkOffset>{};
-    index->Equals(AllTypeVariant{value}, result);
-    EXPECT_EQ(Sorted(result), ReferenceRange<int32_t>(model, value, true, value, true)) << "Equals " << value;
-  }
-  for (auto probe = 0; probe < 50; ++probe) {
-    auto low = static_cast<int32_t>(rng() % 500) - 250;
-    auto high = static_cast<int32_t>(rng() % 500) - 250;
-    if (low > high) {
-      std::swap(low, high);
+/// Indexes read their segment through the segment decoder: built from every
+/// encoding, each must answer like the reference model. A group-key index
+/// reads dictionary segments only.
+TEST_P(ChunkIndexTest, RandomizedAgainstReferenceModelOnEveryEncoding) {
+  for (const auto& spec :
+       {SegmentEncodingSpec{EncodingType::kUnencoded},
+        SegmentEncodingSpec{EncodingType::kDictionary, VectorCompressionType::kFixedWidthInteger},
+        SegmentEncodingSpec{EncodingType::kDictionary, VectorCompressionType::kBitPacking128},
+        SegmentEncodingSpec{EncodingType::kFrameOfReference, VectorCompressionType::kFixedWidthInteger},
+        SegmentEncodingSpec{EncodingType::kFrameOfReference, VectorCompressionType::kBitPacking128},
+        SegmentEncodingSpec{EncodingType::kRunLength}}) {
+    if (GetParam() == ChunkIndexType::kGroupKey && spec.encoding_type != EncodingType::kDictionary) {
+      continue;
     }
-    const auto lower_inclusive = rng() % 2 == 0;
-    const auto upper_inclusive = rng() % 2 == 0;
-    auto result = std::vector<ChunkOffset>{};
-    index->Range(AllTypeVariant{low}, lower_inclusive, AllTypeVariant{high}, upper_inclusive, result);
-    EXPECT_EQ(Sorted(result), ReferenceRange<int32_t>(model, low, lower_inclusive, high, upper_inclusive))
-        << low << (lower_inclusive ? " <= " : " < ") << "x" << (upper_inclusive ? " <= " : " < ") << high;
+    SCOPED_TRACE(std::string{EncodingTypeToString(spec.encoding_type)} + "/" +
+                 VectorCompressionTypeToString(spec.vector_compression));
+    auto rng = std::mt19937{7};
+    const auto column = MakeRandomIntColumn(rng, 6000, 3);  // Three frame-of-reference blocks.
+    ExpectMatchesReferenceModel(*BuildIntIndex(column.values, spec), column.model, rng, 1300);
   }
 }
 
