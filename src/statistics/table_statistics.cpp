@@ -90,14 +90,19 @@ void GenerateChunkPruningStatistics(const std::shared_ptr<Table>& table) {
     for (auto column_id = ColumnID{0}; column_id < chunk->column_count(); ++column_id) {
       ResolveDataType(table->column_data_type(column_id), [&](auto type_tag) {
         using T = decltype(type_tag);
-        // The non-NULL values, compacted in place.
+        // The non-NULL values, compacted in place. A value is moved only to an
+        // earlier slot: a self-move would empty a std::string.
         auto [values, nulls] = DecodeSegmentAs<T>(*chunk->GetSegment(column_id));
         if (!nulls.empty()) {
           auto kept = size_t{0};
           for (auto offset = size_t{0}; offset < values.size(); ++offset) {
-            if (!nulls[offset]) {
-              values[kept++] = std::move(values[offset]);
+            if (nulls[offset]) {
+              continue;
             }
+            if (kept != offset) {
+              values[kept] = std::move(values[offset]);
+            }
+            ++kept;
           }
           values.resize(kept);
         }

@@ -182,36 +182,51 @@ namespace detail {
 /// cast to K, goes to `values[base + row]`, each NULL row to `null_rows` as
 /// `base + row`. One branch per encoding; compressed codes are read by
 /// ForEachGatheredCodeBlock, so dictionary decoding and the scans' dictionary
-/// kernels share one code reader.
+/// kernels share one code reader. The loops read through local pointers:
+/// `null_rows.push_back` may reallocate, so anything reached through a
+/// reference or a lambda capture would be reloaded on every row.
 template <typename K, typename T, typename Rows>
 void DecodeRows(const AbstractSegment& segment, const Rows& rows, size_t base, std::vector<K>& values,
                 std::vector<size_t>& null_rows) {
+  auto* const output = values.data() + base;
+
   if (const auto* value_segment = dynamic_cast<const ValueSegment<T>*>(&segment)) {
-    const auto& raw = value_segment->values();
-    const auto& nulls = value_segment->null_values();
-    for (auto index = size_t{0}; index < rows.count; ++index) {
-      const auto offset = rows.OffsetAt(index);
-      if (!nulls.empty() && nulls[offset] != 0) {
-        null_rows.push_back(base + rows.RowAt(index));
+    const auto* const raw = value_segment->values().data();
+    if (value_segment->null_values().empty()) {
+      for (auto index = size_t{0}; index < rows.count; ++index) {
+        output[rows.RowAt(index)] = static_cast<K>(raw[rows.OffsetAt(index)]);
+      }
+      return;
+    }
+    const auto* const nulls = value_segment->null_values().data();
+    const auto local_rows = rows;
+    for (auto index = size_t{0}; index < local_rows.count; ++index) {
+      const auto offset = local_rows.OffsetAt(index);
+      if (nulls[offset] != 0) {
+        null_rows.push_back(base + local_rows.RowAt(index));
       } else {
-        values[base + rows.RowAt(index)] = static_cast<K>(raw[offset]);
+        output[local_rows.RowAt(index)] = static_cast<K>(raw[offset]);
       }
     }
     return;
   }
 
   if (const auto* dictionary_segment = dynamic_cast<const DictionarySegment<T>*>(&segment)) {
-    const auto& dictionary = dictionary_segment->dictionary();
+    const auto* const dictionary = dictionary_segment->dictionary().data();
     const auto null_id = dictionary_segment->null_value_id();
     ResolveCompressedVector(dictionary_segment->attribute_vector(), [&](const auto& vector) {
       ForEachGatheredCodeBlock(vector, rows, [&](const auto* codes, size_t count, size_t block_base) {
+        const auto block_rows = rows;
+        const auto* const block_dictionary = dictionary;
+        const auto block_null_id = null_id;
+        auto* const block_output = output;
         for (auto index = size_t{0}; index < count; ++index) {
           const auto code = static_cast<uint32_t>(codes[index]);
-          const auto row = base + rows.RowAt(block_base + index);
-          if (code == null_id) {
-            null_rows.push_back(row);
+          const auto row = block_rows.RowAt(block_base + index);
+          if (code == block_null_id) {
+            null_rows.push_back(base + row);
           } else {
-            values[row] = static_cast<K>(dictionary[code]);
+            block_output[row] = static_cast<K>(block_dictionary[code]);
           }
         }
       });
@@ -221,18 +236,29 @@ void DecodeRows(const AbstractSegment& segment, const Rows& rows, size_t base, s
 
   if constexpr (std::is_same_v<T, int32_t> || std::is_same_v<T, int64_t>) {
     if (const auto* for_segment = dynamic_cast<const FrameOfReferenceSegment<T>*>(&segment)) {
-      const auto& minima = for_segment->block_minima();
+      const auto* const minima = for_segment->block_minima().data();
       const auto& nulls = for_segment->null_values();
       ResolveCompressedVector(for_segment->offset_values(), [&](const auto& vector) {
         ForEachGatheredCodeBlock(vector, rows, [&](const auto* codes, size_t count, size_t block_base) {
+          const auto block_rows = rows;
+          const auto* const block_minima = minima;
+          auto* const block_output = output;
+          if (nulls.empty()) {
+            for (auto index = size_t{0}; index < count; ++index) {
+              const auto offset = block_rows.OffsetAt(block_base + index);
+              block_output[block_rows.RowAt(block_base + index)] = static_cast<K>(
+                  block_minima[offset / FrameOfReferenceSegment<T>::kBlockSize] + static_cast<T>(codes[index]));
+            }
+            return;
+          }
           for (auto index = size_t{0}; index < count; ++index) {
-            const auto offset = rows.OffsetAt(block_base + index);
-            const auto row = base + rows.RowAt(block_base + index);
-            if (!nulls.empty() && nulls[offset]) {
-              null_rows.push_back(row);
+            const auto offset = block_rows.OffsetAt(block_base + index);
+            const auto row = block_rows.RowAt(block_base + index);
+            if (nulls[offset]) {
+              null_rows.push_back(base + row);
             } else {
-              values[row] = static_cast<K>(minima[offset / FrameOfReferenceSegment<T>::kBlockSize] +
-                                           static_cast<T>(codes[index]));
+              block_output[row] = static_cast<K>(block_minima[offset / FrameOfReferenceSegment<T>::kBlockSize] +
+                                                 static_cast<T>(codes[index]));
             }
           }
         });
@@ -256,8 +282,7 @@ void DecodeRows(const AbstractSegment& segment, const Rows& rows, size_t base, s
           }
         } else {
           const auto value = static_cast<K>(run_values[run]);
-          std::fill(values.begin() + static_cast<std::ptrdiff_t>(base + start),
-                    values.begin() + static_cast<std::ptrdiff_t>(base + end + 1), value);
+          std::fill(output + start, output + end + 1, value);
         }
         start = end + 1;
       }
@@ -267,7 +292,7 @@ void DecodeRows(const AbstractSegment& segment, const Rows& rows, size_t base, s
         if (run_is_null[run]) {
           null_rows.push_back(base + rows.RowAt(index));
         } else {
-          values[base + rows.RowAt(index)] = static_cast<K>(run_values[run]);
+          output[rows.RowAt(index)] = static_cast<K>(run_values[run]);
         }
       }
     }

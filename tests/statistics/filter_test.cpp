@@ -2,6 +2,8 @@
 
 #include <random>
 
+#include "hyrise.hpp"
+#include "sql/sql_pipeline.hpp"
 #include "statistics/counting_quotient_filter.hpp"
 #include "statistics/min_max_filter.hpp"
 #include "statistics/table_statistics.hpp"
@@ -221,6 +223,33 @@ TEST(GenerateStatisticsTest, CqfCatchesGapsMinMaxMisses) {
   const auto& filter = (*table->GetChunk(ChunkID{0})->pruning_statistics())[0];
   EXPECT_FALSE(filter->CanPrune(PredicateCondition::kEquals, AllTypeVariant{500}));
   EXPECT_TRUE(filter->CanPrune(PredicateCondition::kEquals, AllTypeVariant{505}));  // In range but absent.
+}
+
+TEST(GenerateStatisticsTest, NullableStringValuesBeforeFirstNullKeepTheirFilters) {
+  // Chunk 0's largest value "zz" and its smallest "b" both sit before its
+  // first NULL; "zz" occurs nowhere else.
+  Hyrise::Reset();
+  auto table =
+      std::make_shared<Table>(TableColumnDefinitions{{"s", DataType::kString, true}}, TableType::kData, 5);
+  for (const auto& value : std::vector<AllTypeVariant>{AllTypeVariant{std::string{"zz"}}, AllTypeVariant{std::string{"b"}},
+                                                        kNullVariant, AllTypeVariant{std::string{"c"}}, kNullVariant,
+                                                        AllTypeVariant{std::string{"a"}}}) {
+    table->AppendRow({value});
+  }
+  GenerateChunkPruningStatistics(table);
+  const auto& filter = (*table->GetChunk(ChunkID{0})->pruning_statistics())[0];
+  ASSERT_NE(filter, nullptr);
+  EXPECT_FALSE(filter->CanPrune(PredicateCondition::kEquals, AllTypeVariant{std::string{"zz"}}));
+  EXPECT_FALSE(filter->CanPrune(PredicateCondition::kGreaterThan, AllTypeVariant{std::string{"y"}}));
+  EXPECT_FALSE(filter->CanPrune(PredicateCondition::kEquals, AllTypeVariant{std::string{"b"}}));
+  EXPECT_TRUE(filter->CanPrune(PredicateCondition::kLessThan, AllTypeVariant{std::string{"b"}}));
+
+  // Through the optimizer's chunk pruning, the queries still find the row.
+  Hyrise::Get().storage_manager.AddTable("t", table);
+  EXPECT_EQ(ExecuteSql("SELECT s FROM t WHERE s = 'zz'")->row_count(), 1u);
+  EXPECT_EQ(ExecuteSql("SELECT s FROM t WHERE s > 'y'")->row_count(), 1u);
+  EXPECT_EQ(ExecuteSql("SELECT s FROM t WHERE s < 'b'")->row_count(), 1u);
+  Hyrise::Reset();
 }
 
 }  // namespace hyrise

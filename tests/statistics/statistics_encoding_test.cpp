@@ -110,7 +110,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// MinMax bounds and CQF membership: every chunk's filter answers every
 /// range and equality probe — present values and absent odd ones, inside and
-/// outside the domain — as the unencoded table's filter does.
+/// outside the domain — as the unencoded table's filter does, and never
+/// prunes an equality probe for a value the chunk holds.
 TEST_P(GenerateStatisticsAcrossEncodingsTest, PruningFiltersMatchUnencoded) {
   GenerateChunkPruningStatistics(unencoded_);
   GenerateChunkPruningStatistics(encoded_);
@@ -139,6 +140,16 @@ TEST_P(GenerateStatisticsAcrossEncodingsTest, PruningFiltersMatchUnencoded) {
         }
         EXPECT_EQ(mismatches, 0) << "chunk " << chunk_id << ", column " << column;
       });
+
+      const auto& segment = *unencoded_->GetChunk(chunk_id)->GetSegment(static_cast<ColumnID>(column));
+      auto pruned_present_values = 0;
+      for (auto offset = ChunkOffset{0}; offset < segment.size(); ++offset) {
+        const auto value = segment[offset];
+        if (!VariantIsNull(value) && actual_filters[column]->CanPrune(PredicateCondition::kEquals, value)) {
+          ++pruned_present_values;
+        }
+      }
+      EXPECT_EQ(pruned_present_values, 0) << "chunk " << chunk_id << ", column " << column;
     }
   }
 }
