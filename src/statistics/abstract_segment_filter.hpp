@@ -1,7 +1,9 @@
 #ifndef HYRISE_SRC_STATISTICS_ABSTRACT_SEGMENT_FILTER_HPP_
 #define HYRISE_SRC_STATISTICS_ABSTRACT_SEGMENT_FILTER_HPP_
 
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "types/all_type_variant.hpp"
 #include "types/types.hpp"
@@ -21,6 +23,31 @@ class AbstractSegmentFilter {
   /// just means "cannot rule out").
   virtual bool CanPrune(PredicateCondition condition, const AllTypeVariant& value,
                         const std::optional<AllTypeVariant>& value2 = std::nullopt) const = 0;
+};
+
+/// The filters GenerateChunkPruningStatistics builds for one segment. Prunes
+/// if any member filter prunes.
+class CompositeSegmentFilter final : public AbstractSegmentFilter {
+ public:
+  explicit CompositeSegmentFilter(std::vector<std::shared_ptr<const AbstractSegmentFilter>> filters)
+      : filters_(std::move(filters)) {}
+
+  bool CanPrune(PredicateCondition condition, const AllTypeVariant& value,
+                const std::optional<AllTypeVariant>& value2 = std::nullopt) const final {
+    for (const auto& filter : filters_) {
+      if (filter->CanPrune(condition, value, value2)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const std::vector<std::shared_ptr<const AbstractSegmentFilter>>& filters() const {
+    return filters_;
+  }
+
+ private:
+  std::vector<std::shared_ptr<const AbstractSegmentFilter>> filters_;
 };
 
 }  // namespace hyrise

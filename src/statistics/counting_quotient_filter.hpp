@@ -33,7 +33,8 @@ class CountingQuotientFilter final : public AbstractSegmentFilter {
     slots_.resize(capacity);
   }
 
-  void Insert(const T& value) {
+  /// Adds `count` occurrences of `value`.
+  void Insert(const T& value, uint32_t count = 1) {
     const auto hash = Hash(value);
     const auto capacity = slots_.size();
     auto index = (hash >> 16) & (capacity - 1);
@@ -42,11 +43,11 @@ class CountingQuotientFilter final : public AbstractSegmentFilter {
       auto& slot = slots_[index];
       if ((slot.fingerprint & kOccupiedBit) == 0) {
         slot.fingerprint = fingerprint;
-        slot.count = 1;
+        slot.count = count;
         return;
       }
       if (slot.fingerprint == fingerprint) {
-        ++slot.count;
+        slot.count += count;
         return;
       }
       index = (index + 1) & (capacity - 1);
@@ -71,6 +72,16 @@ class CountingQuotientFilter final : public AbstractSegmentFilter {
       index = (index + 1) & (capacity - 1);
     }
     return 0;
+  }
+
+  /// Number of slots: the smallest power of two of at least 64 and at least
+  /// twice the expected count.
+  size_t capacity() const {
+    return slots_.size();
+  }
+
+  size_t MemoryUsage() const {
+    return slots_.capacity() * sizeof(Slot);
   }
 
   bool Contains(const T& value) const {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "types/all_type_variant.hpp"
@@ -55,6 +56,12 @@ class Histogram {
   /// `values` is consumed. Returns nullptr for empty input.
   static std::shared_ptr<const Histogram<T>> FromValues(std::vector<T> values, HistogramLayout layout);
 
+  /// Builds a histogram from the column's distinct non-null values in
+  /// ascending order, each with its number of (sampled) rows. Returns nullptr
+  /// for empty input.
+  static std::shared_ptr<const Histogram<T>> FromValueCounts(std::vector<std::pair<T, size_t>> distinct_values,
+                                                             HistogramLayout layout);
+
   /// Rebuilds a histogram from previously built bins (statistics persistence:
   /// the optimizer is warm at the first query after a restart without
   /// rescanning any column). Returns nullptr for empty input, mirroring
@@ -100,19 +107,27 @@ class Histogram {
 
 template <typename T>
 std::shared_ptr<const Histogram<T>> Histogram<T>::FromValues(std::vector<T> values, HistogramLayout layout) {
-  if (values.empty()) {
-    return nullptr;
-  }
   std::sort(values.begin(), values.end());
-
-  // Collapse into (distinct value, count) pairs.
   auto distinct_values = std::vector<std::pair<T, size_t>>{};
-  for (const auto& value : values) {
+  for (auto& value : values) {
     if (distinct_values.empty() || distinct_values.back().first != value) {
-      distinct_values.emplace_back(value, 1);
+      distinct_values.emplace_back(std::move(value), 1);
     } else {
       ++distinct_values.back().second;
     }
+  }
+  return FromValueCounts(std::move(distinct_values), layout);
+}
+
+template <typename T>
+std::shared_ptr<const Histogram<T>> Histogram<T>::FromValueCounts(std::vector<std::pair<T, size_t>> distinct_values,
+                                                                  HistogramLayout layout) {
+  if (distinct_values.empty()) {
+    return nullptr;
+  }
+  auto value_count = size_t{0};
+  for (const auto& [value, count] : distinct_values) {
+    value_count += count;
   }
 
   auto histogram = std::make_shared<Histogram<T>>();
@@ -139,7 +154,7 @@ std::shared_ptr<const Histogram<T>> Histogram<T>::FromValues(std::vector<T> valu
       break;
     }
     case HistogramLayout::kEqualHeight: {
-      const auto target_height = static_cast<double>(values.size()) / static_cast<double>(bin_count);
+      const auto target_height = static_cast<double>(value_count) / static_cast<double>(bin_count);
       auto first = size_t{0};
       auto height = 0.0;
       for (auto index = size_t{0}; index < distinct_count; ++index) {

@@ -17,6 +17,14 @@ class MinMaxFilter final : public AbstractSegmentFilter {
  public:
   MinMaxFilter(T min, T max) : min_(std::move(min)), max_(std::move(max)) {}
 
+  const T& min() const {
+    return min_;
+  }
+
+  const T& max() const {
+    return max_;
+  }
+
   bool CanPrune(PredicateCondition condition, const AllTypeVariant& value,
                 const std::optional<AllTypeVariant>& value2 = std::nullopt) const final {
     if (VariantIsNull(value)) {

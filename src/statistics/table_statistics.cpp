@@ -4,35 +4,11 @@
 
 #include "statistics/counting_quotient_filter.hpp"
 #include "statistics/min_max_filter.hpp"
-#include "storage/segment_decoder.hpp"
+#include "statistics/sorted_value_counts.hpp"
 #include "storage/table.hpp"
 #include "utils/assert.hpp"
 
 namespace hyrise {
-
-namespace {
-
-/// Prunes if any member filter prunes.
-class CompositeSegmentFilter final : public AbstractSegmentFilter {
- public:
-  explicit CompositeSegmentFilter(std::vector<std::shared_ptr<const AbstractSegmentFilter>> filters)
-      : filters_(std::move(filters)) {}
-
-  bool CanPrune(PredicateCondition condition, const AllTypeVariant& value,
-                const std::optional<AllTypeVariant>& value2 = std::nullopt) const final {
-    for (const auto& filter : filters_) {
-      if (filter->CanPrune(condition, value, value2)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::shared_ptr<const AbstractSegmentFilter>> filters_;
-};
-
-}  // namespace
 
 std::shared_ptr<TableStatistics> GenerateTableStatistics(const Table& table, HistogramLayout layout,
                                                          size_t max_sample_size) {
@@ -47,28 +23,28 @@ std::shared_ptr<TableStatistics> GenerateTableStatistics(const Table& table, His
   for (auto column_id = ColumnID{0}; column_id < table.column_count(); ++column_id) {
     ResolveDataType(table.column_data_type(column_id), [&](auto type_tag) {
       using T = decltype(type_tag);
-      auto values = std::vector<T>{};
-      values.reserve(row_count / stride + 1);
+      // One sorted run per chunk, merged into the column's run.
+      auto runs = std::vector<ValueCountRun<T>>{};
+      runs.reserve(chunk_count);
+      auto sampled = size_t{0};
       auto null_count = size_t{0};
       // Global row `row_index + offset` is sampled when it is a multiple of
       // `stride`, counting across chunks.
       auto row_index = size_t{0};
       for (auto chunk_id = ChunkID{0}; chunk_id < chunk_count; ++chunk_id) {
-        const auto decoded = DecodeSegmentAs<T>(*table.GetChunk(chunk_id)->GetSegment(column_id));
-        const auto size = decoded.values.size();
-        for (auto offset = (stride - row_index % stride) % stride; offset < size; offset += stride) {
-          if (decoded.IsNull(offset)) {
-            ++null_count;
-          } else {
-            values.push_back(decoded.values[offset]);
-          }
+        const auto& segment = *table.GetChunk(chunk_id)->GetSegment(column_id);
+        auto counts = CountSortedValues<T>(segment, (stride - row_index % stride) % stride, stride);
+        for (const auto& [value, count] : counts.values) {
+          sampled += count;
         }
-        row_index += size;
+        sampled += counts.null_count;
+        null_count += counts.null_count;
+        runs.push_back(std::move(counts.values));
+        row_index += segment.size();
       }
       auto statistics = std::make_shared<AttributeStatistics<T>>();
-      const auto sampled = values.size() + null_count;
       statistics->null_ratio = sampled > 0 ? static_cast<double>(null_count) / static_cast<double>(sampled) : 0.0;
-      statistics->histogram = Histogram<T>::FromValues(std::move(values), layout);
+      statistics->histogram = Histogram<T>::FromValueCounts(MergeValueCountRuns(std::move(runs)), layout);
       column_statistics.push_back(std::move(statistics));
     });
   }
@@ -90,37 +66,22 @@ void GenerateChunkPruningStatistics(const std::shared_ptr<Table>& table) {
     for (auto column_id = ColumnID{0}; column_id < chunk->column_count(); ++column_id) {
       ResolveDataType(table->column_data_type(column_id), [&](auto type_tag) {
         using T = decltype(type_tag);
-        // The non-NULL values, compacted in place. A value is moved only to an
-        // earlier slot: a self-move would empty a std::string.
-        auto [values, nulls] = DecodeSegmentAs<T>(*chunk->GetSegment(column_id));
-        if (!nulls.empty()) {
-          auto kept = size_t{0};
-          for (auto offset = size_t{0}; offset < values.size(); ++offset) {
-            if (nulls[offset]) {
-              continue;
-            }
-            if (kept != offset) {
-              values[kept] = std::move(values[offset]);
-            }
-            ++kept;
-          }
-          values.resize(kept);
-        }
-        if (values.empty()) {
+        const auto& segment = *chunk->GetSegment(column_id);
+        const auto counts = CountSortedValues<T>(segment);
+        if (counts.values.empty()) {
           statistics->push_back(nullptr);
           return;
         }
 
-        const auto [min_iter, max_iter] = std::minmax_element(values.begin(), values.end());
         auto filters = std::vector<std::shared_ptr<const AbstractSegmentFilter>>{
-            std::make_shared<MinMaxFilter<T>>(*min_iter, *max_iter)};
+            std::make_shared<MinMaxFilter<T>>(counts.values.front().first, counts.values.back().first)};
 
         // A membership filter pays off when equality probes can miss; size it
-        // on the value count, skip very wide chunks to bound memory.
-        if (values.size() <= 1'000'000) {
-          auto cqf = std::make_shared<CountingQuotientFilter<T>>(values.size());
-          for (const auto& value : values) {
-            cqf->Insert(value);
+        // on the distinct count, skip chunks of over a million non-NULL values.
+        if (segment.size() - counts.null_count <= 1'000'000) {
+          auto cqf = std::make_shared<CountingQuotientFilter<T>>(counts.values.size());
+          for (const auto& [value, count] : counts.values) {
+            cqf->Insert(value, static_cast<uint32_t>(count));
           }
           filters.push_back(std::move(cqf));
         }

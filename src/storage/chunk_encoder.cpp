@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "scheduler/job_helpers.hpp"
 #include "storage/dictionary_segment.hpp"
@@ -12,40 +15,86 @@
 #include "storage/value_segment.hpp"
 #include "storage/vector_compression/compressed_vector_utils.hpp"
 #include "utils/assert.hpp"
+#include "utils/flat_hash_table.hpp"
 
 namespace hyrise {
 
 namespace {
 
-template <typename T>
-std::shared_ptr<AbstractSegment> EncodeDictionary(const MaterializedColumn<T>& column,
+/// Dictionary encoding (paper §2.3), de-duplicating before sorting: each
+/// non-NULL value is hashed to a slot, numbered in first-seen order; only the
+/// distinct values are sorted, and a row's code is its slot's rank. Rows are
+/// read in place, strings keyed by string_view. NULL rows get null_value_id,
+/// one past the last code.
+template <typename T, typename IsNull>
+std::shared_ptr<AbstractSegment> EncodeDictionary(const T* values, size_t size, const IsNull& is_null,
                                                   VectorCompressionType vector_compression) {
-  const auto& values = column.values;
-  auto dictionary = std::vector<T>{};
-  dictionary.reserve(values.size());
-  for (auto index = size_t{0}; index < values.size(); ++index) {
-    if (!column.IsNull(index)) {
-      dictionary.push_back(values[index]);
+  using Key = std::conditional_t<std::is_same_v<T, std::string>, std::string_view, T>;
+  constexpr auto kNullSlot = std::numeric_limits<uint32_t>::max();
+
+  auto slots = FlatHashMap<Key, uint32_t>{};
+  auto distinct_values = std::vector<std::pair<Key, uint32_t>>{};  // (value, slot), by slot.
+  auto codes = std::vector<uint32_t>(size);
+  for (auto row = size_t{0}; row < size; ++row) {
+    if (is_null(row)) {
+      codes[row] = kNullSlot;
+      continue;
     }
+    const auto key = Key{values[row]};
+    const auto [slot, inserted] = slots.FindOrInsert(HashKey(key), key);
+    if (inserted) {
+      *slot = static_cast<uint32_t>(distinct_values.size());
+      distinct_values.emplace_back(key, *slot);
+    }
+    codes[row] = *slot;
   }
-  std::sort(dictionary.begin(), dictionary.end());
-  dictionary.erase(std::unique(dictionary.begin(), dictionary.end()), dictionary.end());
-  dictionary.shrink_to_fit();
+
+  std::sort(distinct_values.begin(), distinct_values.end(), [](const auto& left, const auto& right) {
+    return left.first < right.first;
+  });
+  auto code_of_slot = std::vector<uint32_t>(distinct_values.size());
+  for (auto code = size_t{0}; code < distinct_values.size(); ++code) {
+    code_of_slot[distinct_values[code].second] = static_cast<uint32_t>(code);
+  }
+  // Entries are created in slot order, so strings get their buffers in the
+  // order rows first show them: reading the dictionary at consecutive rows'
+  // codes (LIKE, decoding) walks memory forward.
+  auto dictionary = std::vector<T>(distinct_values.size());
+  for (const auto code : code_of_slot) {
+    dictionary[code] = T{distinct_values[code].first};
+  }
 
   const auto null_value_id = static_cast<uint32_t>(dictionary.size());
-  auto codes = std::vector<uint32_t>(values.size());
-  for (auto index = size_t{0}; index < values.size(); ++index) {
-    if (column.IsNull(index)) {
-      codes[index] = null_value_id;
-    } else {
-      const auto iter = std::lower_bound(dictionary.begin(), dictionary.end(), values[index]);
-      codes[index] = static_cast<uint32_t>(std::distance(dictionary.begin(), iter));
-    }
+  for (auto& code : codes) {
+    code = code == kNullSlot ? null_value_id : code_of_slot[code];
   }
 
   auto attribute_vector = CompressVector(codes, vector_compression, null_value_id);
   return std::make_shared<DictionarySegment<T>>(std::make_shared<const std::vector<T>>(std::move(dictionary)),
                                                 std::move(attribute_vector));
+}
+
+template <typename T>
+std::shared_ptr<AbstractSegment> EncodeDictionary(const MaterializedColumn<T>& column,
+                                                  VectorCompressionType vector_compression) {
+  return EncodeDictionary(
+      column.values.data(), column.values.size(),
+      [&](size_t row) {
+        return column.IsNull(row);
+      },
+      vector_compression);
+}
+
+template <typename T>
+std::shared_ptr<AbstractSegment> EncodeDictionary(const ValueSegment<T>& segment,
+                                                  VectorCompressionType vector_compression) {
+  const auto* const nulls = segment.null_values().empty() ? nullptr : segment.null_values().data();
+  return EncodeDictionary(
+      segment.values().data(), static_cast<size_t>(segment.size()),
+      [nulls](size_t row) {
+        return nulls && nulls[row] != 0;
+      },
+      vector_compression);
 }
 
 template <typename T>
@@ -126,6 +175,11 @@ std::shared_ptr<AbstractSegment> ChunkEncoder::EncodeSegment(const std::shared_p
   auto result = std::shared_ptr<AbstractSegment>{};
   ResolveDataType(data_type, [&](auto type_tag) {
     using ColumnDataType = decltype(type_tag);
+    const auto* value_segment = dynamic_cast<const ValueSegment<ColumnDataType>*>(segment.get());
+    if (value_segment && spec.encoding_type == EncodingType::kDictionary) {
+      result = EncodeDictionary(*value_segment, spec.vector_compression);
+      return;
+    }
     auto column = DecodeSegmentAs<ColumnDataType>(*segment);
 
     switch (spec.encoding_type) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -45,7 +46,7 @@ inline uint64_t HashBytes(const char* data, size_t size) {
 /// type first — but +0.0 and -0.0 compare equal and therefore must hash equal.
 template <typename K>
 uint64_t HashKey(const K& key) {
-  if constexpr (std::is_same_v<K, std::string>) {
+  if constexpr (std::is_same_v<K, std::string> || std::is_same_v<K, std::string_view>) {
     return HashBytes(key.data(), key.size());
   } else if constexpr (std::is_floating_point_v<K>) {
     auto normalized = key == K{0} ? K{0} : key;

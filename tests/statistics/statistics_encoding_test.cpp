@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "statistics/abstract_segment_filter.hpp"
+#include "statistics/counting_quotient_filter.hpp"
+#include "statistics/min_max_filter.hpp"
+#include "statistics/sorted_value_counts.hpp"
 #include "statistics/table_statistics.hpp"
 #include "storage/chunk_encoder.hpp"
 #include "storage/table.hpp"
@@ -62,6 +66,40 @@ std::shared_ptr<Table> MakeTable(const SegmentEncodingSpec& spec) {
   return table;
 }
 
+/// Rows `first`, `first + stride`, ... of a segment, read through operator[]:
+/// each distinct non-NULL value with its row count, and the NULL rows.
+template <typename T>
+std::pair<std::map<T, size_t>, size_t> CountRows(const AbstractSegment& segment, size_t first = 0,
+                                                 size_t stride = 1) {
+  auto counts = std::map<T, size_t>{};
+  auto null_count = size_t{0};
+  for (auto offset = first; offset < segment.size(); offset += stride) {
+    const auto value = segment[static_cast<ChunkOffset>(offset)];
+    if (VariantIsNull(value)) {
+      ++null_count;
+    } else {
+      ++counts[std::get<T>(value)];
+    }
+  }
+  return {counts, null_count};
+}
+
+/// The min-max filter and counting quotient filter of a segment's pruning
+/// filter (the latter nullptr if there is none).
+template <typename T>
+std::pair<const MinMaxFilter<T>*, const CountingQuotientFilter<T>*> FilterParts(const AbstractSegmentFilter& filter) {
+  const auto* min_max_filter = static_cast<const MinMaxFilter<T>*>(nullptr);
+  const auto* cqf = static_cast<const CountingQuotientFilter<T>*>(nullptr);
+  for (const auto& part : dynamic_cast<const CompositeSegmentFilter&>(filter).filters()) {
+    if (const auto* as_min_max = dynamic_cast<const MinMaxFilter<T>*>(part.get())) {
+      min_max_filter = as_min_max;
+    } else if (const auto* as_cqf = dynamic_cast<const CountingQuotientFilter<T>*>(part.get())) {
+      cqf = as_cqf;
+    }
+  }
+  return {min_max_filter, cqf};
+}
+
 std::string SpecName(const SegmentEncodingSpec& spec) {
   auto name = std::string{EncodingTypeToString(spec.encoding_type)} + "_" +
               VectorCompressionTypeToString(spec.vector_compression);
@@ -75,8 +113,9 @@ std::string SpecName(const SegmentEncodingSpec& spec) {
 
 }  // namespace
 
-/// Statistics decode every segment through the segment decoder; built over
-/// an encoded table they must equal those of the same table unencoded.
+/// Statistics read every segment as sorted value counts (dictionary segments
+/// from their dictionary and codes, others decoded); built over an encoded
+/// table they must equal those of the same table unencoded.
 class GenerateStatisticsAcrossEncodingsTest : public ::testing::TestWithParam<SegmentEncodingSpec> {
  protected:
   void SetUp() override {
@@ -150,6 +189,99 @@ TEST_P(GenerateStatisticsAcrossEncodingsTest, PruningFiltersMatchUnencoded) {
         }
       }
       EXPECT_EQ(pruned_present_values, 0) << "chunk " << chunk_id << ", column " << column;
+    }
+  }
+}
+
+/// The parts of every chunk's filters: the min-max bounds are the chunk's
+/// smallest and largest value, and the counting quotient filter is as large
+/// as the unencoded table's and counts each present value's rows exactly.
+TEST_P(GenerateStatisticsAcrossEncodingsTest, PruningFilterPartsMatchRows) {
+  GenerateChunkPruningStatistics(unencoded_);
+  GenerateChunkPruningStatistics(encoded_);
+  for (auto chunk_id = ChunkID{0}; chunk_id < unencoded_->chunk_count(); ++chunk_id) {
+    for (auto column = size_t{0}; column < kColumnTypes.size(); ++column) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk_id) + ", column " + std::to_string(column));
+      ResolveDataType(kColumnTypes[column], [&](auto type_tag) {
+        using T = decltype(type_tag);
+        const auto [expected_min_max, expected_cqf] =
+            FilterParts<T>(*(*unencoded_->GetChunk(chunk_id)->pruning_statistics())[column]);
+        const auto [min_max, cqf] = FilterParts<T>(*(*encoded_->GetChunk(chunk_id)->pruning_statistics())[column]);
+        ASSERT_NE(min_max, nullptr);
+        ASSERT_NE(cqf, nullptr);
+        ASSERT_NE(expected_min_max, nullptr);
+        ASSERT_NE(expected_cqf, nullptr);
+
+        const auto [counts, null_count] = CountRows<T>(*unencoded_->GetChunk(chunk_id)->GetSegment(ColumnID(column)));
+        ASSERT_FALSE(counts.empty());
+        EXPECT_EQ(min_max->min(), expected_min_max->min());
+        EXPECT_EQ(min_max->max(), expected_min_max->max());
+        EXPECT_EQ(min_max->min(), counts.begin()->first);
+        EXPECT_EQ(min_max->max(), counts.rbegin()->first);
+        EXPECT_EQ(cqf->capacity(), expected_cqf->capacity());
+        auto miscounted_values = 0;
+        for (const auto& [value, count] : counts) {
+          if (cqf->Count(value) != count || expected_cqf->Count(value) != count) {
+            ++miscounted_values;
+          }
+        }
+        EXPECT_EQ(miscounted_values, 0);
+      });
+    }
+  }
+}
+
+/// The sorted value counts the filters and histograms are built from, over
+/// all rows and over every third row from each start, equal those read row
+/// by row from the unencoded table.
+TEST_P(GenerateStatisticsAcrossEncodingsTest, SortedValueCountsMatchRows) {
+  for (auto chunk_id = ChunkID{0}; chunk_id < unencoded_->chunk_count(); ++chunk_id) {
+    for (auto column = size_t{0}; column < kColumnTypes.size(); ++column) {
+      ResolveDataType(kColumnTypes[column], [&](auto type_tag) {
+        using T = decltype(type_tag);
+        const auto& expected_segment = *unencoded_->GetChunk(chunk_id)->GetSegment(ColumnID(column));
+        const auto& segment = *encoded_->GetChunk(chunk_id)->GetSegment(ColumnID(column));
+        for (const auto& [first, stride] :
+             {std::pair{0, 1}, std::pair{0, 3}, std::pair{1, 3}, std::pair{2, 3}, std::pair{4000, 7}}) {
+          SCOPED_TRACE("chunk " + std::to_string(chunk_id) + ", column " + std::to_string(column) + ", rows " +
+                       std::to_string(first) + " + k * " + std::to_string(stride));
+          const auto [expected_counts, expected_null_count] = CountRows<T>(expected_segment, first, stride);
+          const auto counts = CountSortedValues<T>(segment, first, stride);
+          EXPECT_EQ(counts.null_count, expected_null_count);
+          EXPECT_EQ(counts.values, (ValueCountRun<T>{expected_counts.begin(), expected_counts.end()}));
+        }
+      });
+    }
+  }
+}
+
+/// A chunk whose column holds only NULLs gets no filter for that column;
+/// the other chunks still get theirs.
+TEST_P(GenerateStatisticsAcrossEncodingsTest, AllNullChunkHasNoFilter) {
+  auto definitions = TableColumnDefinitions{};
+  for (const auto data_type : kColumnTypes) {
+    definitions.push_back({"c" + std::to_string(definitions.size()), data_type, true});
+  }
+  auto table = std::make_shared<Table>(definitions, TableType::kData, ChunkOffset{1000});
+  for (auto row = 0; row < 3000; ++row) {
+    auto values = std::vector<AllTypeVariant>{};
+    for (const auto data_type : kColumnTypes) {
+      ResolveDataType(data_type, [&](auto type_tag) {
+        using T = decltype(type_tag);
+        // The second chunk is all NULL.
+        values.push_back(row / 1000 == 1 ? kNullVariant : AllTypeVariant{ValueOf<T>(row % 50)});
+      });
+    }
+    table->AppendRow(values);
+  }
+  ChunkEncoder::EncodeAllChunks(table, GetParam());
+  GenerateChunkPruningStatistics(table);
+  ASSERT_EQ(table->chunk_count(), ChunkID{3});
+  for (auto chunk_id = ChunkID{0}; chunk_id < table->chunk_count(); ++chunk_id) {
+    const auto& filters = *table->GetChunk(chunk_id)->pruning_statistics();
+    ASSERT_EQ(filters.size(), kColumnTypes.size());
+    for (auto column = size_t{0}; column < kColumnTypes.size(); ++column) {
+      EXPECT_EQ(filters[column] == nullptr, chunk_id == ChunkID{1}) << "chunk " << chunk_id << ", column " << column;
     }
   }
 }

@@ -48,17 +48,11 @@ std::vector<EncodingCase> AllCases() {
   return cases;
 }
 
-}  // namespace
-
-/// Property: encoding then reading back (via operator[], the decoder, and
-/// the accessors) reproduces the original values for every combination of
-/// encoding, physical compression, data type, and null pattern.
-class EncodingRoundTripTest : public ::testing::TestWithParam<EncodingCase> {};
-
-INSTANTIATE_TEST_SUITE_P(AllEncodings, EncodingRoundTripTest, ::testing::ValuesIn(AllCases()), CaseName);
-
-TEST_P(EncodingRoundTripTest, ValuesSurviveEncoding) {
-  const auto& [spec, data_type, with_nulls] = GetParam();
+/// Encodes `row_count` rows and reads them back. Values are random over a
+/// small domain, in runs; with `drift`, the domain moves up by one every four
+/// rows, so each 2048-row frame-of-reference block has its own minimum.
+void ExpectValuesSurviveEncoding(const EncodingCase& test_case, int row_count, bool drift) {
+  const auto& [spec, data_type, with_nulls] = test_case;
 
   ResolveDataType(data_type, [&, spec = spec, with_nulls = with_nulls](auto type_tag) {
     using T = decltype(type_tag);
@@ -67,7 +61,8 @@ TEST_P(EncodingRoundTripTest, ValuesSurviveEncoding) {
     auto source = std::make_shared<ValueSegment<T>>(with_nulls);
     auto expected_values = std::vector<T>{};
     auto expected_nulls = std::vector<bool>{};
-    for (auto index = 0; index < 3000; ++index) {
+    for (auto index = 0; index < row_count; ++index) {
+      const auto base = drift ? index / 4 : 0;
       const auto is_null = with_nulls && rng() % 7 == 0;
       if (is_null) {
         source->Append(kNullVariant);
@@ -77,11 +72,11 @@ TEST_P(EncodingRoundTripTest, ValuesSurviveEncoding) {
       }
       // Runs of repeated values (to exercise RLE) mixed with random ones.
       if constexpr (std::is_same_v<T, std::string>) {
-        const auto value = "val_" + std::to_string(rng() % 64);
+        const auto value = "val_" + std::to_string(base + rng() % 64);
         source->AppendTyped(value);
         expected_values.push_back(value);
       } else {
-        const auto value = static_cast<T>(rng() % 512);
+        const auto value = static_cast<T>(base + rng() % 512);
         source->AppendTyped(value);
         expected_values.push_back(value);
       }
@@ -143,6 +138,25 @@ TEST_P(EncodingRoundTripTest, ValuesSurviveEncoding) {
       }
     }
   });
+}
+
+}  // namespace
+
+/// Property: encoding then reading back (via operator[], the decoder, and
+/// the accessors) reproduces the original values for every combination of
+/// encoding, physical compression, data type, and null pattern.
+class EncodingRoundTripTest : public ::testing::TestWithParam<EncodingCase> {};
+
+INSTANTIATE_TEST_SUITE_P(AllEncodings, EncodingRoundTripTest, ::testing::ValuesIn(AllCases()), CaseName);
+
+TEST_P(EncodingRoundTripTest, ValuesSurviveEncoding) {
+  ExpectValuesSurviveEncoding(GetParam(), 3000, false);
+}
+
+/// Four frame-of-reference blocks with different minima: a decode that
+/// offsets from the wrong block's minimum reads wrong values.
+TEST_P(EncodingRoundTripTest, DriftingValuesSurviveEncoding) {
+  ExpectValuesSurviveEncoding(GetParam(), 3 * 2048 + 500, true);
 }
 
 }  // namespace hyrise

@@ -75,6 +75,30 @@ std::shared_ptr<Table> MakeEncodedTable(const DecoderCase& test_case) {
   return table;
 }
 
+/// One chunk of 3 * 2048 + 500 rows whose domain drifts up by one every
+/// four rows: each of its four frame-of-reference blocks has another minimum.
+std::shared_ptr<Table> MakeDriftingTable(const DecoderCase& test_case) {
+  constexpr auto kDriftingRows = 3 * 2048 + 500;
+  auto table = std::make_shared<Table>(TableColumnDefinitions{{"a", test_case.data_type, test_case.nullable}},
+                                       TableType::kData, ChunkOffset{kDriftingRows});
+  auto rng = std::mt19937{3};
+  for (auto row = 0; row < kDriftingRows; ++row) {
+    const auto number = row / 4 + static_cast<int>(rng() % 300);
+    ResolveDataType(test_case.data_type, [&](auto type_tag) {
+      using T = decltype(type_tag);
+      auto value = AllTypeVariant{};
+      if constexpr (std::is_same_v<T, std::string>) {
+        value = AllTypeVariant{"v" + std::to_string(number)};
+      } else {
+        value = AllTypeVariant{static_cast<T>(number)};
+      }
+      table->AppendRow({test_case.nullable && rng() % 7 == 0 ? kNullVariant : value});
+    });
+  }
+  ChunkEncoder::EncodeAllChunks(table, test_case.spec);
+  return table;
+}
+
 /// The decoder must reproduce the per-row virtual operator[] of `segment`,
 /// as its own type and, for numbers, cast to double.
 void ExpectDecodesLikeOperator(const AbstractSegment& segment) {
@@ -122,6 +146,19 @@ TEST_P(SegmentDecoderTest, StoredSegment) {
   for (auto chunk_id = ChunkID{0}; chunk_id < table_->chunk_count(); ++chunk_id) {
     ExpectDecodesLikeOperator(*table_->GetChunk(chunk_id)->GetSegment(ColumnID{0}));
   }
+}
+
+TEST_P(SegmentDecoderTest, DriftingDomainAcrossBlocks) {
+  const auto table = MakeDriftingTable(GetParam());
+  ASSERT_EQ(table->chunk_count(), ChunkID{1});
+  ExpectDecodesLikeOperator(*table->GetChunk(ChunkID{0})->GetSegment(ColumnID{0}));
+
+  auto positions = std::make_shared<RowIDPosList>();
+  for (auto offset = ChunkOffset{0}; offset < table->row_count(); offset += 3) {
+    positions->push_back(RowID{ChunkID{0}, offset});
+  }
+  positions->GuaranteeSingleChunk();
+  ExpectDecodesLikeOperator(ReferenceSegment{table, ColumnID{0}, positions});
 }
 
 TEST_P(SegmentDecoderTest, SingleChunkPosList) {
